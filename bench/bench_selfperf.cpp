@@ -1,16 +1,15 @@
 // Simulator self-performance: wall-clock cost of the simulator's hot
 // access path, not of the simulated machine. Every tier-1 application x
-// memory mode runs twice on identical configs — once on the legacy
-// per-access accounting path and once on the batched run path
-// (SystemConfig::batched_access) — under a wall-clock timer.
+// memory mode runs once under a wall-clock timer.
 //
-// The batched path is an optimization of the simulator only: both runs
-// must be bit-for-bit identical in simulated end time and event-log
-// digest (the differential check; the process exits nonzero on any
-// mismatch). Results land in BENCH_selfperf.json.
+// The batched run accounting is an optimization of the simulator only:
+// every cell must match, bit for bit, the simulated end time, event-log
+// digest and status recorded from the retired per-access accounting path
+// (the golden table below; the process exits nonzero on any mismatch).
+// Results land in BENCH_selfperf.json.
 //
 // The bench also reports absolute simulator throughput — simulated events
-// per wall-clock second over the batched grid — and can drive a
+// per wall-clock second over the grid — and can drive a
 // *full-scale* smoke: the paper's unscaled 96 GB / 480 GB machine
 // (benchsupport::full_scale()), a 2^33-amplitude state-vector footprint
 // touched page by page through the resolve/advance_view/commit access
@@ -21,9 +20,6 @@
 // Flags:
 //   --smoke               small problem sizes (the ctest "perf" smoke target)
 //   --out <file>          output JSON path (default BENCH_selfperf.json)
-//   --check <file>        compare the aggregate legacy/batched speedup against
-//                         a recorded baseline JSON and fail if the batched
-//                         path has regressed more than 2x relative to it
 //   --fullscale-out <f>   run the full-scale smoke and write its JSON to <f>
 //   --gate-throughput <f> absolute events/sec gate (CI only — wall-clock
 //                         sensitive, so it is NOT part of the ctest smoke):
@@ -71,6 +67,65 @@ std::vector<SelfperfApp> selfperf_apps() {
   return v;
 }
 
+/// Simulated outcome of one cell on the retired per-access accounting path
+/// (Span charging and re-resolving one element at a time), recorded at both
+/// scales before that path was removed. Every cell finished with
+/// Status::kSuccess.
+struct GoldenCell {
+  bs::Scale scale;
+  const char* app;
+  apps::MemMode mode;
+  sim::Picos end_time;
+  std::uint64_t digest;
+};
+
+constexpr GoldenCell kGolden[] = {
+    {bs::Scale::kSmall, "bfs", apps::MemMode::kExplicit, 9369062089, 0x3e7eb906b58b1dcaull},
+    {bs::Scale::kSmall, "bfs", apps::MemMode::kManaged, 8582585982, 0x2426c6c94e94c9b0ull},
+    {bs::Scale::kSmall, "bfs", apps::MemMode::kSystem, 8177205836, 0x5365042acac139d4ull},
+    {bs::Scale::kSmall, "hotspot", apps::MemMode::kExplicit, 8649088181, 0x2fc9b9112115c002ull},
+    {bs::Scale::kSmall, "hotspot", apps::MemMode::kManaged, 8474052436, 0x242c7bea656a7f31ull},
+    {bs::Scale::kSmall, "hotspot", apps::MemMode::kSystem, 8247426212, 0xe78274fd88e2dd33ull},
+    {bs::Scale::kSmall, "needle", apps::MemMode::kExplicit, 8584655936, 0xae54bee8bdd4763dull},
+    {bs::Scale::kSmall, "needle", apps::MemMode::kManaged, 8478456255, 0x7f5ecd2e0f771716ull},
+    {bs::Scale::kSmall, "needle", apps::MemMode::kSystem, 8185008328, 0x3836206c97e0589full},
+    {bs::Scale::kSmall, "pathfinder", apps::MemMode::kExplicit, 8871257684, 0x2200f5a3342c5255ull},
+    {bs::Scale::kSmall, "pathfinder", apps::MemMode::kManaged, 8630844067, 0xa14373422e48a202ull},
+    {bs::Scale::kSmall, "pathfinder", apps::MemMode::kSystem, 8475685640, 0x1128fb0a93eacb9cull},
+    {bs::Scale::kSmall, "srad", apps::MemMode::kExplicit, 9285806219, 0x23d097ff9088b859ull},
+    {bs::Scale::kSmall, "srad", apps::MemMode::kManaged, 8435225645, 0xac58954b97a141e4ull},
+    {bs::Scale::kSmall, "srad", apps::MemMode::kSystem, 8185573508, 0x2f3d3f3fa07a4488ull},
+    {bs::Scale::kSmall, "qiskit", apps::MemMode::kExplicit, 8433433521, 0x1bb3b81d97dfb5a3ull},
+    {bs::Scale::kSmall, "qiskit", apps::MemMode::kManaged, 8140539474, 0xc71806dd51035e65ull},
+    {bs::Scale::kSmall, "qiskit", apps::MemMode::kSystem, 8253674016, 0xf43ccfbf1e9bc159ull},
+    {bs::Scale::kDefault, "bfs", apps::MemMode::kExplicit, 9976396404, 0xb98695c9c00034bbull},
+    {bs::Scale::kDefault, "bfs", apps::MemMode::kManaged, 9862735923, 0xc556c1d941103163ull},
+    {bs::Scale::kDefault, "bfs", apps::MemMode::kSystem, 9798210661, 0x2f93b7e94af2e968ull},
+    {bs::Scale::kDefault, "hotspot", apps::MemMode::kExplicit, 9267958379, 0x9e1f13d5d91368beull},
+    {bs::Scale::kDefault, "hotspot", apps::MemMode::kManaged, 9401253670, 0x4de5d3f59fa9cb2cull},
+    {bs::Scale::kDefault, "hotspot", apps::MemMode::kSystem, 8992567602, 0x1ca95b2dac397926ull},
+    {bs::Scale::kDefault, "needle", apps::MemMode::kExplicit, 11840241206, 0x54b5c37006cb6775ull},
+    {bs::Scale::kDefault, "needle", apps::MemMode::kManaged, 12825742361, 0xae9640f2208a702eull},
+    {bs::Scale::kDefault, "needle", apps::MemMode::kSystem, 11717179910, 0xf033967709bf2bb9ull},
+    {bs::Scale::kDefault, "pathfinder", apps::MemMode::kExplicit, 15014017983, 0x73ceb21e3c07d474ull},
+    {bs::Scale::kDefault, "pathfinder", apps::MemMode::kManaged, 15845058381, 0x3439c7f60d02bffbull},
+    {bs::Scale::kDefault, "pathfinder", apps::MemMode::kSystem, 14563031577, 0xe74fb4bde8bd3a66ull},
+    {bs::Scale::kDefault, "srad", apps::MemMode::kExplicit, 9805194845, 0x87351f09be340ddfull},
+    {bs::Scale::kDefault, "srad", apps::MemMode::kManaged, 9321031982, 0x533399a0c8127433ull},
+    {bs::Scale::kDefault, "srad", apps::MemMode::kSystem, 10284106150, 0x1e08eda21fad9c40ull},
+    {bs::Scale::kDefault, "qiskit", apps::MemMode::kExplicit, 8475302449, 0x39edb53b06093f8bull},
+    {bs::Scale::kDefault, "qiskit", apps::MemMode::kManaged, 8182408402, 0x31ba7a0db03c832dull},
+    {bs::Scale::kDefault, "qiskit", apps::MemMode::kSystem, 8295541920, 0xb80473525f4a0fb7ull},
+};
+
+const GoldenCell* find_golden(bs::Scale scale, const std::string& app,
+                              apps::MemMode mode) {
+  for (const GoldenCell& g : kGolden) {
+    if (g.scale == scale && app == g.app && g.mode == mode) return &g;
+  }
+  return nullptr;
+}
+
 struct TimedRun {
   double wall_ms = 0;
   sim::Picos end_time = 0;
@@ -79,11 +134,9 @@ struct TimedRun {
   Status status = Status::kSuccess;
 };
 
-TimedRun one_run(const SelfperfApp& app, apps::MemMode mode, bs::Scale scale,
-                 bool batched) {
+TimedRun one_run(const SelfperfApp& app, apps::MemMode mode, bs::Scale scale) {
   core::SystemConfig cfg = app.config();
   cfg.event_log = true;
-  cfg.batched_access = batched;
   core::System sys{cfg};
   runtime::Runtime rt{sys};
   const auto t0 = std::chrono::steady_clock::now();
@@ -103,10 +156,9 @@ TimedRun one_run(const SelfperfApp& app, apps::MemMode mode, bs::Scale scale,
 struct Cell {
   std::string app;
   std::string mode;
-  double legacy_ms = 0;
-  double batched_ms = 0;
+  double wall_ms = 0;
   double sim_ms = 0;
-  bool differential_ok = false;
+  bool golden_ok = false;
 };
 
 /// Minimal extraction of a numeric field from a baseline JSON written by a
@@ -233,7 +285,6 @@ FullScaleResult run_full_scale(std::uint32_t qubits) {
 int main(int argc, char** argv) {
   bs::Scale scale = bs::Scale::kDefault;
   std::string out_path = "BENCH_selfperf.json";
-  std::string check_path;
   std::string fullscale_path;
   std::string gate_path;
   for (int i = 1; i < argc; ++i) {
@@ -241,68 +292,57 @@ int main(int argc, char** argv) {
       scale = bs::Scale::kSmall;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
     } else if (std::strcmp(argv[i], "--fullscale-out") == 0 && i + 1 < argc) {
       fullscale_path = argv[++i];
     } else if (std::strcmp(argv[i], "--gate-throughput") == 0 && i + 1 < argc) {
       gate_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--out <file>] [--check <baseline>] "
-                   "[--fullscale-out <file>] [--gate-throughput <baseline>]\n",
+                   "usage: %s [--smoke] [--out <file>] [--fullscale-out <file>] "
+                   "[--gate-throughput <baseline>]\n",
                    argv[0]);
       return 2;
     }
   }
 
   bs::print_figure_header(
-      "Selfperf", "simulator wall-clock: batched vs legacy access accounting",
-      "batched path is faster in wall-clock time and bit-for-bit identical "
-      "in simulated time and event stream");
+      "Selfperf", "simulator wall-clock of the access-accounting path",
+      "every cell is bit-for-bit identical to the golden per-access "
+      "simulated time, event stream and status");
 
   std::vector<Cell> cells;
-  std::size_t differential_failures = 0;
-  double total_legacy = 0, total_batched = 0;
+  std::size_t golden_failures = 0;
+  double total_ms = 0;
   std::uint64_t total_events = 0;
 
-  std::printf("%-12s %-9s %12s %12s %8s %10s %6s\n", "app", "mode", "legacy_ms",
-              "batched_ms", "speedup", "sim_ms", "diff");
+  std::printf("%-12s %-9s %12s %10s %6s\n", "app", "mode", "wall_ms", "sim_ms",
+              "golden");
   for (const auto& app : selfperf_apps()) {
     for (apps::MemMode mode : {apps::MemMode::kExplicit, apps::MemMode::kManaged,
                                apps::MemMode::kSystem}) {
-      const TimedRun legacy = one_run(app, mode, scale, /*batched=*/false);
-      const TimedRun batched = one_run(app, mode, scale, /*batched=*/true);
+      const TimedRun run = one_run(app, mode, scale);
+      const GoldenCell* g = find_golden(scale, app.name, mode);
       Cell c;
       c.app = app.name;
       c.mode = std::string{to_string(mode)};
-      c.legacy_ms = legacy.wall_ms;
-      c.batched_ms = batched.wall_ms;
-      c.sim_ms = sim::to_milliseconds(batched.end_time);
-      c.differential_ok = legacy.status == batched.status &&
-                          legacy.end_time == batched.end_time &&
-                          legacy.digest == batched.digest;
-      if (!c.differential_ok) ++differential_failures;
-      total_legacy += c.legacy_ms;
-      total_batched += c.batched_ms;
-      total_events += batched.events;
-      std::printf("%-12s %-9s %12.2f %12.2f %7.2fx %10.3f %6s\n", c.app.c_str(),
-                  c.mode.c_str(), c.legacy_ms, c.batched_ms,
-                  c.batched_ms > 0 ? c.legacy_ms / c.batched_ms : 0.0, c.sim_ms,
-                  c.differential_ok ? "ok" : "FAIL");
+      c.wall_ms = run.wall_ms;
+      c.sim_ms = sim::to_milliseconds(run.end_time);
+      c.golden_ok = g != nullptr && run.status == Status::kSuccess &&
+                    run.end_time == g->end_time && run.digest == g->digest;
+      if (!c.golden_ok) ++golden_failures;
+      total_ms += c.wall_ms;
+      total_events += run.events;
+      std::printf("%-12s %-9s %12.2f %10.3f %6s\n", c.app.c_str(), c.mode.c_str(),
+                  c.wall_ms, c.sim_ms, c.golden_ok ? "ok" : "FAIL");
       cells.push_back(std::move(c));
     }
   }
 
-  const double total_speedup = total_batched > 0 ? total_legacy / total_batched : 0;
   const double events_per_sec =
-      total_batched > 0 ? static_cast<double>(total_events) /
-                              (total_batched / 1000.0)
-                        : 0;
-  std::printf("\ntotal: legacy %.1f ms, batched %.1f ms, speedup %.2fx, "
-              "%.0f simulated events/s, %zu differential failures\n",
-              total_legacy, total_batched, total_speedup, events_per_sec,
-              differential_failures);
+      total_ms > 0 ? static_cast<double>(total_events) / (total_ms / 1000.0) : 0;
+  std::printf("\ntotal: %.1f ms, %.0f simulated events/s, %zu golden "
+              "failures\n",
+              total_ms, events_per_sec, golden_failures);
 
   FullScaleResult fs;
   const bool fullscale_ran = !fullscale_path.empty();
@@ -351,23 +391,19 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
       std::fprintf(f,
-                   "    {\"app\": \"%s\", \"mode\": \"%s\", \"legacy_ms\": %.3f, "
-                   "\"batched_ms\": %.3f, \"speedup\": %.4f, \"sim_ms\": %.4f, "
-                   "\"differential_ok\": %s}%s\n",
-                   c.app.c_str(), c.mode.c_str(), c.legacy_ms, c.batched_ms,
-                   c.batched_ms > 0 ? c.legacy_ms / c.batched_ms : 0.0, c.sim_ms,
-                   c.differential_ok ? "true" : "false",
+                   "    {\"app\": \"%s\", \"mode\": \"%s\", \"wall_ms\": %.3f, "
+                   "\"sim_ms\": %.4f, \"golden_ok\": %s}%s\n",
+                   c.app.c_str(), c.mode.c_str(), c.wall_ms, c.sim_ms,
+                   c.golden_ok ? "true" : "false",
                    i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"total_legacy_ms\": %.3f,\n", total_legacy);
-    std::fprintf(f, "  \"total_batched_ms\": %.3f,\n", total_batched);
-    std::fprintf(f, "  \"total_speedup\": %.4f,\n", total_speedup);
+    std::fprintf(f, "  \"total_wall_ms\": %.3f,\n", total_ms);
     std::fprintf(f, "  \"total_events\": %llu,\n",
                  static_cast<unsigned long long>(total_events));
     std::fprintf(f, "  \"events_per_sec\": %.1f,\n", events_per_sec);
-    std::fprintf(f, "  \"differential_ok\": %s\n",
-                 differential_failures == 0 ? "true" : "false");
+    std::fprintf(f, "  \"golden_ok\": %s\n",
+                 golden_failures == 0 ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
@@ -376,9 +412,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (differential_failures != 0) {
-    std::fprintf(stderr, "FAIL: %zu cells differ between batched and legacy\n",
-                 differential_failures);
+  if (golden_failures != 0) {
+    std::fprintf(stderr, "FAIL: %zu cells differ from the golden per-access "
+                 "outcome\n",
+                 golden_failures);
     return 1;
   }
   if (fullscale_ran && !fs.ok()) {
@@ -390,32 +427,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(fs.footprint) / (1ull << 30),
                  fs.rss_ok ? "" : " — super-linear RSS");
     return 1;
-  }
-
-  if (!check_path.empty()) {
-    std::string text;
-    if (!read_file(check_path, &text)) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    double baseline_speedup = 0;
-    if (!find_json_number(text, "total_speedup", &baseline_speedup) ||
-        baseline_speedup <= 0) {
-      std::fprintf(stderr, "baseline %s has no total_speedup\n", check_path.c_str());
-      return 1;
-    }
-    // The ratio legacy/batched normalizes out absolute machine speed; the
-    // smoke gate trips only when the batched path loses more than half its
-    // recorded advantage (a >2x relative regression).
-    if (total_speedup < baseline_speedup / 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: batched-path speedup %.2fx regressed >2x vs recorded "
-                   "baseline %.2fx\n",
-                   total_speedup, baseline_speedup);
-      return 1;
-    }
-    std::printf("check: speedup %.2fx vs baseline %.2fx — ok\n", total_speedup,
-                baseline_speedup);
   }
 
   if (!gate_path.empty()) {

@@ -26,7 +26,8 @@ ctest --test-dir build-asan --output-on-failure 2>&1 | tee test_output_asan.txt
 } 2>&1 | tee bench_output.txt
 
 # Self-checking benches (run in the loop above) exit nonzero on failure:
-# bench_selfperf if the batched and legacy access paths diverge,
+# bench_selfperf if any app x mode cell departs from its golden
+# per-access outcome (simulated end time, event digest, status),
 # bench_tenancy if a co-run row is non-reproducible or the designated
 # interference row shows no cross-tenant eviction, bench_observability if
 # any registry counter disagrees with the Tracer or a snapshot fails to
@@ -57,7 +58,6 @@ done
 # recorded baseline, if the full-scale address space fragments past 64
 # extents, or if host RSS grows with the 128 GiB simulated footprint.
 ./build/bench/bench_selfperf --smoke \
-  --check bench/selfperf_baseline.json \
   --gate-throughput bench/selfperf_baseline.json \
   --out BENCH_selfperf_gate.json \
   --fullscale-out BENCH_selfperf_fullscale.json

@@ -29,15 +29,16 @@ inline constexpr std::uint64_t kMagic = 0x004b'4843'4d55'4847ull;  // "GHUMCHK\0
 
 /// Current blob format. Version history:
 ///  - 1: per-page page-table entries; VMA backing bytes unconditional.
+///       Retired: no longer written or restored.
 ///  - 2: page tables serialized as extents (first_vpn, pages, pte) — at
 ///       full-scale capacities the per-page encoding was larger than the
 ///       machine it described; VMAs carry a has-data flag (non-materialized
 ///       backing, SystemConfig::materialize_backing=false, has no bytes to
 ///       write); config gains materialize_backing after the name field.
-/// restore() accepts both; snapshot() can be asked for version 1 as long as
-/// the machine is representable in it (materialized backing only).
+///       The config byte after gpu_utlb_entries (once the batched-access
+///       flag) is reserved: always written as 1, ignored on load.
 inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::uint32_t kMinFormatVersion = 1;
+inline constexpr std::uint32_t kMinFormatVersion = 2;
 
 /// FNV-1a over a byte range — the same hash family EventLog::digest uses,
 /// applied to the serialized payload so blob integrity and state identity

@@ -54,8 +54,7 @@ sorted_entries(const Map& m) {
 
 // --- SystemConfig -----------------------------------------------------------
 
-void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w,
-                              std::uint32_t version) {
+void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w) {
   w.u64(cfg.system_page_size);
   w.u64(cfg.hbm_capacity);
   w.u64(cfg.ddr_capacity);
@@ -71,7 +70,11 @@ void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w,
   w.u64(cfg.cpu_tlb_entries);
   w.u64(cfg.ats_tlb_entries);
   w.u64(cfg.gpu_utlb_entries);
-  w.boolean(cfg.batched_access);
+  // Reserved: once the batched-access flag, which never changed what the
+  // simulated machine does. Still written (always 1) because evacuation
+  // blobs are priced on the fabric by size, so dropping the byte would
+  // shift every fleet timeline by one byte's transfer time.
+  w.boolean(true);
   w.boolean(cfg.event_log);
   w.i64(cfg.profiler_period);
   w.boolean(cfg.profiler_enabled);
@@ -131,15 +134,10 @@ void Snapshotter::save_config(const core::SystemConfig& cfg, Writer& w,
   w.u64(f.ecc_retirement_budget);
 
   w.str(cfg.name);
-
-  // Fields introduced with format version 2 append after the v1 tail so a
-  // version-1 payload is a strict prefix of the config section.
-  if (version >= 2) {
-    w.boolean(cfg.materialize_backing);
-  }
+  w.boolean(cfg.materialize_backing);
 }
 
-core::SystemConfig Snapshotter::load_config(Reader& r, std::uint32_t version) {
+core::SystemConfig Snapshotter::load_config(Reader& r) {
   core::SystemConfig cfg;
   cfg.system_page_size = r.u64();
   cfg.hbm_capacity = r.u64();
@@ -156,7 +154,7 @@ core::SystemConfig Snapshotter::load_config(Reader& r, std::uint32_t version) {
   cfg.cpu_tlb_entries = static_cast<std::size_t>(r.u64());
   cfg.ats_tlb_entries = static_cast<std::size_t>(r.u64());
   cfg.gpu_utlb_entries = static_cast<std::size_t>(r.u64());
-  cfg.batched_access = r.boolean();
+  (void)r.boolean();  // reserved byte, see save_config()
   cfg.event_log = r.boolean();
   cfg.profiler_period = r.i64();
   cfg.profiler_enabled = r.boolean();
@@ -216,18 +214,13 @@ core::SystemConfig Snapshotter::load_config(Reader& r, std::uint32_t version) {
   f.ecc_retirement_budget = r.u64();
 
   cfg.name = r.str();
-  if (version >= 2) {
-    cfg.materialize_backing = r.boolean();
-  }
-  // Version 1 predates non-materialized backing; its default (true) matches
-  // every machine a v1 blob can describe.
+  cfg.materialize_backing = r.boolean();
   return cfg;
 }
 
 // --- machine state ----------------------------------------------------------
 
-void Snapshotter::save_state(core::System& sys, Writer& w,
-                             std::uint32_t version) {
+void Snapshotter::save_state(core::System& sys, Writer& w) {
   core::Machine& m = sys.m_;
 
   // [2] Clock.
@@ -276,30 +269,16 @@ void Snapshotter::save_state(core::System& sys, Writer& w,
   w.u64(m.c2c_.bytes_[1]);
   w.u64(m.c2c_.atomics_);
 
-  // [7] Page tables. Version 2 writes the extent representation directly
-  // (runs are already ordered and canonical — maximal, attribute-equal);
-  // version 1 expands every run back to per-page entries, which is the
-  // legacy encoding byte for byte.
-  const auto save_pt = [&w, version](const pagetable::PageTable& pt) {
-    if (version >= 2) {
-      w.u64(pt.runs_.size());
-      for (const auto& [first_vpn, run] : pt.runs_) {
-        w.u64(first_vpn);
-        w.u64(run.pages);
-        w.u8(static_cast<std::uint8_t>(run.pte.node));
-        w.boolean(run.pte.writable);
-        w.u32(run.pte.numa_generation);
-      }
-    } else {
-      w.u64(pt.total_pages_);
-      for (const auto& [first_vpn, run] : pt.runs_) {
-        for (std::uint64_t p = 0; p < run.pages; ++p) {
-          w.u64(first_vpn + p);
-          w.u8(static_cast<std::uint8_t>(run.pte.node));
-          w.boolean(run.pte.writable);
-          w.u32(run.pte.numa_generation);
-        }
-      }
+  // [7] Page tables, as their extent representation (runs are already
+  // ordered and canonical — maximal, attribute-equal).
+  const auto save_pt = [&w](const pagetable::PageTable& pt) {
+    w.u64(pt.runs_.size());
+    for (const auto& [first_vpn, run] : pt.runs_) {
+      w.u64(first_vpn);
+      w.u64(run.pages);
+      w.u8(static_cast<std::uint8_t>(run.pte.node));
+      w.boolean(run.pte.writable);
+      w.u32(run.pte.numa_generation);
     }
   };
   save_pt(m.system_pt_);
@@ -340,22 +319,11 @@ void Snapshotter::save_state(core::System& sys, Writer& w,
     w.boolean(vma.poisoned);
     w.u64(vma.resident_cpu_bytes);
     w.u64(vma.resident_gpu_bytes);
-    if (version >= 2) {
-      // Non-materialized backing (full-scale runs) has no bytes to carry.
-      const bool has_data = vma.data != nullptr;
-      w.boolean(has_data);
-      if (has_data) {
-        w.bytes(reinterpret_cast<const std::uint8_t*>(vma.data.get()),
-                vma.size);
-      }
-    } else {
-      if (vma.data == nullptr) {
-        throw StatusError{Status::kErrorInvalidValue,
-                          "checkpoint: format version 1 cannot describe "
-                          "non-materialized VMA backing"};
-      }
-      w.bytes(reinterpret_cast<const std::uint8_t*>(vma.data.get()),
-              vma.size);
+    // Non-materialized backing (full-scale runs) has no bytes to carry.
+    const bool has_data = vma.data != nullptr;
+    w.boolean(has_data);
+    if (has_data) {
+      w.bytes(reinterpret_cast<const std::uint8_t*>(vma.data.get()), vma.size);
     }
   }
 
@@ -500,7 +468,7 @@ void Snapshotter::save_state(core::System& sys, Writer& w,
 }
 
 void Snapshotter::load_state(core::System& sys, Reader& r,
-                             std::uint32_t version, core::System* donor) {
+                             core::System* donor) {
   core::Machine& m = sys.m_;
 
   // [2] Clock: set directly — observers (profiler, link monitor, fault
@@ -558,31 +526,17 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
   m.c2c_.bytes_[1] = r.u64();
   m.c2c_.atomics_ = r.u64();
 
-  // [7] Page tables. Either encoding lands in the extent map through
-  // insert_run, which coalesces — a version-1 per-page stream (entries
-  // sorted by VPN, so adjacent pages arrive in order) collapses back into
-  // the same canonical runs the machine held when it was saved.
-  const auto load_pt = [&r, version](pagetable::PageTable& pt) {
+  // [7] Page tables.
+  const auto load_pt = [&r](pagetable::PageTable& pt) {
     pt.clear();
-    if (version >= 2) {
-      for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        const std::uint64_t first_vpn = r.u64();
-        const std::uint64_t pages = r.u64();
-        pagetable::Pte pte;
-        pte.node = static_cast<mem::Node>(r.u8());
-        pte.writable = r.boolean();
-        pte.numa_generation = r.u32();
-        pt.insert_run(first_vpn, pages, pte);
-      }
-    } else {
-      for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-        const std::uint64_t vpn = r.u64();
-        pagetable::Pte pte;
-        pte.node = static_cast<mem::Node>(r.u8());
-        pte.writable = r.boolean();
-        pte.numa_generation = r.u32();
-        pt.insert_run(vpn, 1, pte);
-      }
+    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+      const std::uint64_t first_vpn = r.u64();
+      const std::uint64_t pages = r.u64();
+      pagetable::Pte pte;
+      pte.node = static_cast<mem::Node>(r.u8());
+      pte.writable = r.boolean();
+      pte.numa_generation = r.u32();
+      pt.insert_run(first_vpn, pages, pte);
     }
   };
   load_pt(m.system_pt_);
@@ -631,7 +585,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
     v.poisoned = r.boolean();
     v.resident_cpu_bytes = r.u64();
     v.resident_gpu_bytes = r.u64();
-    const bool has_data = version >= 2 ? r.boolean() : true;
+    const bool has_data = r.boolean();
     if (has_data) {
       if (donor != nullptr) {
         os::Vma* dv = donor->m_.as_.find_exact(v.base);
@@ -807,23 +761,19 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
 
 // --- public API -------------------------------------------------------------
 
-Blob Snapshotter::snapshot(core::System& sys, std::uint32_t version) {
+Blob Snapshotter::snapshot(core::System& sys) {
   if (sys.in_kernel_ || sys.in_phase_) {
     throw StatusError{Status::kErrorInvalidValue,
                              "snapshot inside an open kernel/phase"};
   }
-  if (version < kMinFormatVersion || version > kFormatVersion) {
-    throw StatusError{Status::kErrorInvalidValue,
-                             "snapshot: unwritable format version"};
-  }
   Writer payload;
-  save_config(sys.config(), payload, version);
-  save_state(sys, payload, version);
+  save_config(sys.config(), payload);
+  save_state(sys, payload);
   const std::vector<std::uint8_t>& body = payload.data();
 
   Writer out;
   out.u64(kMagic);
-  out.u32(version);
+  out.u32(kFormatVersion);
   out.u64(fnv1a(body.data(), body.size()));
   out.u64(body.size());
   Blob blob = out.take();
@@ -856,8 +806,12 @@ std::unique_ptr<core::System> Snapshotter::restore(const Blob& blob,
                                "checkpoint: payload digest mismatch"};
     }
     Reader r{body, static_cast<std::size_t>(size)};
-    auto sys = std::make_unique<core::System>(load_config(r, version));
-    load_state(*sys, r, version, donor);
+    auto sys = std::make_unique<core::System>(load_config(r));
+    load_state(*sys, r, donor);
+    if (r.remaining() != 0) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: trailing bytes after the machine state"};
+    }
     return sys;
   } catch (const std::out_of_range&) {
     throw StatusError{Status::kErrorInvalidValue,
@@ -871,8 +825,8 @@ std::uint64_t Snapshotter::state_digest(core::System& sys) {
                              "state_digest inside an open kernel/phase"};
   }
   Writer payload;
-  save_config(sys.config(), payload, kFormatVersion);
-  save_state(sys, payload, kFormatVersion);
+  save_config(sys.config(), payload);
+  save_state(sys, payload);
   return fnv1a(payload.data().data(), payload.data().size());
 }
 

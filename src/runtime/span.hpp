@@ -34,8 +34,7 @@ class Span {
       : sys_(&sys),
         origin_(origin),
         va_(buf.va + elem_offset * sizeof(T)),
-        ptr_(reinterpret_cast<T*>(buf.host) + elem_offset),
-        batched_(sys.config().batched_access) {
+        ptr_(reinterpret_cast<T*>(buf.host) + elem_offset) {
     const std::uint64_t avail = (buf.bytes / sizeof(T)) - elem_offset;
     n_ = count == ~0ull ? avail : count;
   }
@@ -148,7 +147,7 @@ class Span {
       sys_->commit(view_, pend_r_, pend_w_, pend_lines_, pend_acc_);
       pend_r_ = pend_w_ = pend_lines_ = pend_acc_ = 0;
     }
-    if (!batched_ || !sys_->advance_view(view_, addr)) {
+    if (!sys_->advance_view(view_, addr)) {
       view_ = sys_->resolve(addr, origin_);
     }
     line_shift_ = static_cast<unsigned>(std::countr_zero(
@@ -161,14 +160,10 @@ class Span {
   /// Accounts \p count accesses starting at element \p i exactly like a
   /// per-element touch() loop: same page visits (=> same commit
   /// boundaries, faults and translation charges at the same simulated
-  /// times), same unique-line counts, same raw bytes. With batching off —
-  /// or elements wider than a cacheline, where bulk start-address line
-  /// marking would diverge — it *is* that loop.
+  /// times), same unique-line counts, same raw bytes. For elements wider
+  /// than a cacheline, where bulk start-address line marking would
+  /// diverge, it *is* that loop.
   void account_run(std::size_t i, std::size_t count, bool write) {
-    if (!batched_) {
-      for (std::size_t k = 0; k < count; ++k) touch(i + k, write);
-      return;
-    }
     const std::size_t end = i + count;
     std::size_t k = i;
     while (k < end) {
@@ -215,7 +210,6 @@ class Span {
   mem::Node origin_;
   std::uint64_t va_;
   T* ptr_;
-  bool batched_;
   std::size_t n_ = 0;
 
   core::PageView view_{};  // starts invalid (page_base=1 > page_end=0)

@@ -129,54 +129,51 @@ INSTANTIATE_TEST_SUITE_P(Modes, ChkReplay,
                            return std::string{apps::to_string(info.param)};
                          });
 
-TEST(ChkCompat, Version1BlobRestoresBitIdentical) {
-  core::System sys{chk_cfg()};
-  runtime::Runtime rt{sys};
-  (void)apps::run_hotspot(rt, apps::MemMode::kManaged, small_hotspot());
-  // A contiguous first-touched region: one extent, 64 resident pages.
-  const core::Buffer big = sys.sys_malloc(4ull << 20, "contiguous");
-  for (std::uint64_t off = 0; off < big.bytes; off += chk_cfg().system_page_size)
-    (void)sys.resolve(big.va + off, mem::Node::kCpu);
-
-  // The legacy encoding (per-page page tables, unconditional VMA bytes)
-  // must still restore to the same machine: loading per-page entries into
-  // the extent map coalesces them back to the canonical runs.
-  const chk::Blob legacy = chk::Snapshotter::snapshot(sys, /*version=*/1);
-  std::unique_ptr<core::System> twin = chk::Snapshotter::restore(legacy);
-  EXPECT_EQ(twin->now(), sys.now());
-  EXPECT_EQ(chk::Snapshotter::state_digest(*twin),
-            chk::Snapshotter::state_digest(sys));
-  // Re-serializing the twin at the current version matches the original's
-  // current-version blob bit for bit.
-  EXPECT_EQ(chk::Snapshotter::snapshot(*twin), chk::Snapshotter::snapshot(sys));
-  // A version-1 blob is strictly larger: it spends one record per page
-  // where the extent encoding spends one per run.
-  EXPECT_GT(legacy.size(), chk::Snapshotter::snapshot(sys).size());
-}
-
-TEST(ChkCompat, Version1CannotDescribeNonMaterializedBacking) {
+TEST(ChkRoundTrip, NonMaterializedBackingRoundTrips) {
   core::SystemConfig cfg = chk_cfg();
   cfg.materialize_backing = false;
   cfg.event_log = false;
   core::System sys{cfg};
   core::Buffer b = sys.sys_malloc(1 << 20, "virtual-only");
   (void)b;
-  // No byte image exists, so the v1 format (unconditional VMA bytes) must
-  // refuse rather than serialize garbage...
-  EXPECT_THROW((void)chk::Snapshotter::snapshot(sys, /*version=*/1),
-               StatusError);
-  // ...while the current format round-trips the data-less VMA.
+  // No byte image exists; the blob carries the VMA without one.
   const chk::Blob blob = chk::Snapshotter::snapshot(sys);
   std::unique_ptr<core::System> twin = chk::Snapshotter::restore(blob);
   EXPECT_EQ(chk::Snapshotter::state_digest(*twin),
             chk::Snapshotter::state_digest(sys));
 }
 
-TEST(ChkCompat, UnwritableVersionsAreRejected) {
+/// The format-2 bytes of a fixed small machine, pinned. Evacuation blobs
+/// are priced on the fleet fabric by their size, so any change to the
+/// encoding (even one byte) moves every fleet timeline; this catches it at
+/// the source.
+TEST(ChkFormat, GoldenVersion2BlobIsPinned) {
   core::System sys{chk_cfg()};
-  EXPECT_THROW((void)chk::Snapshotter::snapshot(sys, 0), StatusError);
-  EXPECT_THROW((void)chk::Snapshotter::snapshot(sys, chk::kFormatVersion + 1),
-               StatusError);
+  runtime::Runtime rt{sys};
+  (void)apps::run_hotspot(rt, apps::MemMode::kManaged, small_hotspot());
+  // Live allocations put page-table runs and VMA byte images into the
+  // pinned bytes too: a fragmented registered system buffer (one run per
+  // page) and a managed buffer first-touched by a host fill.
+  const std::uint64_t page = sys.config().system_page_size;
+  core::Buffer frag = rt.malloc_system(8 * page, "frag");
+  ASSERT_EQ(sys.host_register(frag), Status::kSuccess);
+  for (std::uint64_t off = 0; off < frag.bytes; off += 2 * page) {
+    sys.prefetch(frag, off, page, mem::Node::kGpu);
+  }
+  core::Buffer managed = rt.malloc_managed(4 * page, "managed");
+  sys.host_phase_begin("fill");
+  {
+    runtime::Span<std::uint32_t> s{sys, managed, mem::Node::kCpu};
+    std::uint32_t* out = s.store_run(0, s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      out[i] = static_cast<std::uint32_t>(i * 2654435761u);
+    }
+  }
+  (void)sys.host_phase_end();
+
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  EXPECT_EQ(blob.size(), 797126u);
+  EXPECT_EQ(chk::Snapshotter::blob_digest(blob), 0x36b9d416d858483dull);
 }
 
 TEST(ChkRoundTrip, MaximallyFragmentedAddressSpaceRoundTrips) {
@@ -199,12 +196,6 @@ TEST(ChkRoundTrip, MaximallyFragmentedAddressSpaceRoundTrips) {
   EXPECT_EQ(twin->machine().system_pt().run_count(),
             sys.machine().system_pt().run_count());
   EXPECT_EQ(chk::Snapshotter::snapshot(*twin), blob);
-  // The legacy encoding agrees on the same machine even at maximal
-  // fragmentation (every run is a single page).
-  std::unique_ptr<core::System> legacy_twin =
-      chk::Snapshotter::restore(chk::Snapshotter::snapshot(sys, /*version=*/1));
-  EXPECT_EQ(chk::Snapshotter::state_digest(*legacy_twin),
-            chk::Snapshotter::state_digest(sys));
   rt.free(b);
 }
 
@@ -234,16 +225,33 @@ TEST(ChkValidation, RejectsCorruptTruncatedAndAlienBlobs) {
   alien[0] ^= 0xff;
   EXPECT_THROW((void)chk::Snapshotter::restore(alien), StatusError);
 
-  // Unsupported format version. The payload digest does not cover the
-  // header, so this exercises the version check itself (offset 8 is the
-  // version word, io.hpp).
-  for (const std::uint8_t v : {std::uint8_t{0},
+  // Unsupported format version, including the retired version 1. The
+  // payload digest does not cover the header, so this exercises the
+  // version check itself (offset 8 is the version word, io.hpp).
+  for (const std::uint8_t v : {std::uint8_t{0}, std::uint8_t{1},
                                std::uint8_t(chk::kFormatVersion + 1)}) {
     chk::Blob vers = blob;
     vers[8] = v;
     EXPECT_THROW((void)chk::Snapshotter::restore(vers), StatusError)
         << "version " << int{v};
   }
+
+  // Trailing payload bytes behind a consistent header: the digest (offset
+  // 12) and size (offset 20) are re-stamped, so only the check that the
+  // machine state used up the whole payload can reject it.
+  chk::Blob trailing = blob;
+  trailing.push_back(0);
+  const auto stamp_u64 = [&trailing](std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      trailing[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  constexpr std::size_t kHeader = 28;
+  stamp_u64(12,
+            chk::fnv1a(trailing.data() + kHeader, trailing.size() - kHeader));
+  stamp_u64(20, trailing.size() - kHeader);
+  ASSERT_TRUE(chk::Snapshotter::verify(trailing));
+  EXPECT_THROW((void)chk::Snapshotter::restore(trailing), StatusError);
 }
 
 TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {
@@ -372,28 +380,6 @@ TEST_F(ChkFuzz, EverySingleByteFlipIsRejected) {
           << pos;
     }
   }
-}
-
-TEST_F(ChkFuzz, LegacyVersionBlobCorruptionIsRejectedToo) {
-  // The version-1 compat loader gets the same treatment: strided flips and
-  // truncations of a legacy blob must always surface StatusError.
-  const chk::Blob legacy = chk::Snapshotter::snapshot(*sys_, /*version=*/1);
-  for (std::size_t pos = 0; pos < legacy.size(); pos += 157) {
-    chk::Blob flipped = legacy;
-    flipped[pos] ^= 0xff;
-    EXPECT_THROW((void)chk::Snapshotter::restore(flipped), StatusError)
-        << "flip at byte " << pos;
-  }
-  for (std::size_t len = 0; len < legacy.size();
-       len += (len < 64 ? 1 : 211)) {
-    chk::Blob t{legacy.begin(), legacy.begin() + static_cast<std::ptrdiff_t>(len)};
-    EXPECT_THROW((void)chk::Snapshotter::restore(t), StatusError)
-        << "truncated to " << len;
-  }
-  // Pristine, it restores bit-identically.
-  std::unique_ptr<core::System> twin = chk::Snapshotter::restore(legacy);
-  EXPECT_EQ(chk::Snapshotter::state_digest(*twin),
-            chk::Snapshotter::state_digest(*sys_));
 }
 
 TEST_F(ChkFuzz, FailedRestoreLeavesTheDonorIntact) {

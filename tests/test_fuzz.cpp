@@ -156,22 +156,21 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-/// Differential fuzz for the batched access path: the same randomized
-/// workload runs once with batched accounting and once with the legacy
-/// per-access path, under fault injection that bumps the residency epoch
-/// while Spans hold cached PageViews (ECC retirements evict resident
-/// blocks, denials trigger fallback placement, migrations retry). Any use
-/// of a stale cached run would desync the two timelines; they must agree
-/// bit for bit on simulated end time and on the full event stream.
+/// Differential fuzz for the batched access path: a randomized workload
+/// runs under fault injection that bumps the residency epoch while Spans
+/// hold cached PageViews (ECC retirements evict resident blocks, denials
+/// trigger fallback placement, migrations retry). Any use of a stale cached
+/// run would desync the timeline from the per-access one; it must agree bit
+/// for bit on simulated end time and on the full event stream with golden
+/// values recorded from the retired per-access accounting path.
 TEST(FuzzBatchedDifferential, BatchedAndLegacyShareOneTimelineUnderFaults) {
   struct Outcome {
     sim::Picos end = 0;
     std::uint64_t digest = 0;
     std::size_t ecc_retirements = 0;
   };
-  auto run = [](bool batched, std::uint64_t seed) {
+  auto run = [](std::uint64_t seed) {
     auto cfg = fuzz_config(pagetable::kSystemPage64K);
-    cfg.batched_access = batched;
     cfg.event_log = true;
     cfg.faults.enabled = true;
     cfg.faults.frame_alloc_denial_prob = 0.02;
@@ -258,15 +257,23 @@ TEST(FuzzBatchedDifferential, BatchedAndLegacyShareOneTimelineUnderFaults) {
     out.digest = h;
     return out;
   };
-  for (std::uint64_t seed : {11ull, 29ull, 63ull}) {
-    const Outcome legacy = run(false, seed);
-    const Outcome fast = run(true, seed);
-    EXPECT_EQ(legacy.end, fast.end) << "seed " << seed;
-    EXPECT_EQ(legacy.digest, fast.digest) << "seed " << seed;
+  constexpr struct {
+    std::uint64_t seed;
+    Outcome per_access;
+  } kGolden[] = {
+      {11, {8982335298, 0x2e931b1a94033b3eull, 2}},
+      {29, {9570396447, 0x544151ed09b34410ull, 2}},
+      {63, {9360762310, 0x01c60b95b40c021full, 2}},
+  };
+  for (const auto& g : kGolden) {
+    const Outcome fast = run(g.seed);
+    EXPECT_EQ(fast.end, g.per_access.end) << "seed " << g.seed;
+    EXPECT_EQ(fast.digest, g.per_access.digest) << "seed " << g.seed;
     // The hazard must actually have been exercised: ECC retirements bumped
-    // the epoch underneath live Spans in both runs.
-    EXPECT_GE(fast.ecc_retirements, 1u) << "seed " << seed;
-    EXPECT_EQ(legacy.ecc_retirements, fast.ecc_retirements) << "seed " << seed;
+    // the epoch underneath live Spans.
+    EXPECT_GE(fast.ecc_retirements, 1u) << "seed " << g.seed;
+    EXPECT_EQ(fast.ecc_retirements, g.per_access.ecc_retirements)
+        << "seed " << g.seed;
   }
 }
 
