@@ -84,21 +84,34 @@ AppCoro hotspot_steps(runtime::Runtime& rt, MemMode mode, HotspotConfig cfg) {
       auto south = rt.device_span<float>(*in);
       auto pw = rt.device_span<float>(power.device());
       auto dst = rt.device_span<float>(*out);
+      // Per cell the accesses run center, east, power, south, north, then
+      // the store; the lockstep lanes and the last-column code keep that
+      // order.
+      const std::uint32_t inner = cfg.cols - 1;
       for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t rn = std::uint64_t{r == 0 ? 0u : r - 1} * cfg.cols;
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
         float west = center.load(rc);  // clamped west of column 0
-        for (std::uint32_t c = 0; c < cfg.cols; ++c) {
-          const float cur = center.load(rc + c);
-          const float e =
-              c == cfg.cols - 1 ? cur : center.load(rc + c + 1);
-          const float v = step_cell(cur, north.load(rn + c), south.load(rs + c),
-                                    west, e, pw.load(rc + c));
-          dst.store(rc + c, v);
+        const auto p = runtime::lockstep<float>({{center, rc},
+                                                 {center, rc + 1},
+                                                 {pw, rc},
+                                                 {south, rs},
+                                                 {north, rn},
+                                                 {dst, rc, true}},
+                                                inner);
+        for (std::uint32_t c = 0; c < inner; ++c) {
+          const float cur = p[0][c];
+          p[5][c] = step_cell(cur, p[4][c], p[3][c], west, p[1][c], p[2][c]);
           west = cur;
         }
+        // Last column: the east neighbour is clamped to the cell itself.
+        const float cur = center.load(rc + inner);
+        const float power_c = pw.load(rc + inner);
+        const float south_c = south.load(rs + inner);
+        const float north_c = north.load(rn + inner);
+        dst.store(rc + inner, step_cell(cur, north_c, south_c, west, cur, power_c));
       }
     });
     report.iteration_s.push_back(sim::to_seconds(record.duration));

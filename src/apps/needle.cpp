@@ -92,11 +92,14 @@ AppCoro needle_steps(runtime::Runtime& rt, MemMode mode, NeedleConfig cfg) {
           // Boundary loads for the sliding window.
           int nw = north.load(prow + c0 - 1);
           int west = edge.load(row + c0 - 1);
-          for (std::uint32_t c = c0; c < c0 + kTile; ++c) {
-            const int up = north.load(prow + c);
+          // Per cell the accesses run north, similarity, then the store.
+          const auto p = runtime::lockstep<int>(
+              {{north, prow + c0}, {sim_m, row + c0}, {out, row + c0, true}}, kTile);
+          for (std::uint32_t c = 0; c < kTile; ++c) {
+            const int up = p[0][c];
             const int v = std::max(std::max(up - cfg.penalty, west - cfg.penalty),
-                                   nw + sim_m.load(row + c));
-            out.store(row + c, v);
+                                   nw + p[1][c]);
+            p[2][c] = v;
             nw = up;
             west = v;
           }

@@ -55,12 +55,24 @@ AppCoro pathfinder_steps(runtime::Runtime& rt, MemMode mode, PathfinderConfig cf
       int left = s.load(0);
       int center = s.load(0);
       int right = cfg.cols > 1 ? s.load(1) : center;
-      for (std::uint32_t c = 0; c < cfg.cols; ++c) {
+      // Per column the accesses run wall, store, then the window's next
+      // DP cell, which the last two columns do not load.
+      const std::uint32_t inner = cfg.cols > 2 ? cfg.cols - 2 : 0;
+      if (inner > 0) {
+        const auto p =
+            runtime::lockstep<int>({{w, row_off}, {d, 0, true}, {s, 2}}, inner);
+        for (std::uint32_t c = 0; c < inner; ++c) {
+          p[1][c] = p[0][c] + std::min(std::min(left, center), right);
+          left = center;
+          center = right;
+          right = p[2][c];
+        }
+      }
+      for (std::uint32_t c = inner; c < cfg.cols; ++c) {
         const int best = std::min(std::min(left, center), right);
         d.store(c, w.load(row_off + c) + best);
         left = center;
-        center = right;
-        right = c + 2 < cfg.cols ? s.load(c + 2) : center;
+        center = right;  // the window's right edge stays clamped
       }
     });
     report.compute_traffic += record.traffic;

@@ -72,6 +72,31 @@ void srad_iteration_ref(std::vector<float>& J, std::vector<float>& c,
   }
 }
 
+/// srad1's per-cell outputs: the four directional derivatives and the
+/// clamped diffusion coefficient.
+struct Srad1Cell {
+  float dn, ds, dw, de, c;
+};
+
+inline Srad1Cell srad1_cell(float jc, float north, float south, float west,
+                            float east, float q0sqr) {
+  Srad1Cell out;
+  out.dn = north - jc;
+  out.ds = south - jc;
+  out.dw = west - jc;
+  out.de = east - jc;
+  const float g2 = (out.dn * out.dn + out.ds * out.ds + out.dw * out.dw +
+                    out.de * out.de) /
+                   (jc * jc);
+  const float l = (out.dn + out.ds + out.dw + out.de) / jc;
+  const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
+  const float den = 1.0f + 0.25f * l;
+  const float qsqr = num / (den * den);
+  const float cv = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
+  out.c = cv < 0.0f ? 0.0f : (cv > 1.0f ? 1.0f : cv);
+  return out;
+}
+
 }  // namespace
 
 AppReport run_srad(runtime::Runtime& rt, MemMode mode, const SradConfig& cfg) {
@@ -161,35 +186,48 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
       auto dw_w = rt.device_span<float>(dw.device());
       auto de_w = rt.device_span<float>(de.device());
       auto c_w = rt.device_span<float>(coeff.device());
+      // Per cell the accesses run center, east, north, south, then the
+      // dN, dS, dW, dE and c stores; the lockstep lanes and the
+      // last-column code keep that order.
+      const std::uint32_t inner = cfg.cols - 1;
       for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t rn = std::uint64_t{r == 0 ? 0u : r - 1} * cfg.cols;
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
         float west = jc_s.load(rc);
-        for (std::uint32_t cc = 0; cc < cfg.cols; ++cc) {
-          const std::uint64_t idx = rc + cc;
-          const float jc = jc_s.load(idx);
-          const float e = cc == cfg.cols - 1 ? jc : jc_s.load(idx + 1);
-          const float vdn = jn_s.load(rn + cc) - jc;
-          const float vds = js_s.load(rs + cc) - jc;
-          const float vdw = west - jc;
-          const float vde = e - jc;
-          dn_w.store(idx, vdn);
-          ds_w.store(idx, vds);
-          dw_w.store(idx, vdw);
-          de_w.store(idx, vde);
-          const float g2 =
-              (vdn * vdn + vds * vds + vdw * vdw + vde * vde) / (jc * jc);
-          const float l = (vdn + vds + vdw + vde) / jc;
-          const float num = 0.5f * g2 - (1.0f / 16.0f) * l * l;
-          const float den = 1.0f + 0.25f * l;
-          const float qsqr = num / (den * den);
-          float cv = 1.0f / (1.0f + (qsqr - q0sqr) / (q0sqr * (1.0f + q0sqr)));
-          cv = cv < 0.0f ? 0.0f : (cv > 1.0f ? 1.0f : cv);
-          c_w.store(idx, cv);
+        const auto p = runtime::lockstep<float>({{jc_s, rc},
+                                                 {jc_s, rc + 1},
+                                                 {jn_s, rn},
+                                                 {js_s, rs},
+                                                 {dn_w, rc, true},
+                                                 {ds_w, rc, true},
+                                                 {dw_w, rc, true},
+                                                 {de_w, rc, true},
+                                                 {c_w, rc, true}},
+                                                inner);
+        for (std::uint32_t cc = 0; cc < inner; ++cc) {
+          const float jc = p[0][cc];
+          const Srad1Cell out =
+              srad1_cell(jc, p[2][cc], p[3][cc], west, p[1][cc], q0sqr);
+          p[4][cc] = out.dn;
+          p[5][cc] = out.ds;
+          p[6][cc] = out.dw;
+          p[7][cc] = out.de;
+          p[8][cc] = out.c;
           west = jc;
         }
+        // Last column: the east neighbour is clamped to the cell itself.
+        const std::uint64_t idx = rc + inner;
+        const float jc = jc_s.load(idx);
+        const float jn = jn_s.load(rn + inner);
+        const float js = js_s.load(rs + inner);
+        const Srad1Cell out = srad1_cell(jc, jn, js, west, jc, q0sqr);
+        dn_w.store(idx, out.dn);
+        ds_w.store(idx, out.ds);
+        dw_w.store(idx, out.dw);
+        de_w.store(idx, out.de);
+        c_w.store(idx, out.c);
       }
     });
     iter_traffic += rec1.traffic;
@@ -202,20 +240,42 @@ AppCoro srad_steps(runtime::Runtime& rt, MemMode mode, SradConfig cfg) {
       auto de_r = rt.device_span<float>(de.device());
       auto cc_s = rt.device_span<float>(coeff.device());
       auto cs_s = rt.device_span<float>(coeff.device());
+      // Per cell the accesses run c, c south, c east, dS, dN, dE, dW, then
+      // the J read-modify-write: the order the pinned golden timelines
+      // were recorded with. The lockstep lanes and the last-column code
+      // keep it.
+      const float step = 0.25f * cfg.lambda;
+      const std::uint32_t inner = cfg.cols - 1;
       for (std::uint32_t r = 0; r < cfg.rows; ++r) {
         const std::uint64_t rs =
             std::uint64_t{r == cfg.rows - 1 ? r : r + 1} * cfg.cols;
         const std::uint64_t rc = std::uint64_t{r} * cfg.cols;
-        for (std::uint32_t cc = 0; cc < cfg.cols; ++cc) {
-          const std::uint64_t idx = rc + cc;
-          const float c_here = cc_s.load(idx);
-          const float c_south = cs_s.load(rs + cc);
-          const float c_east =
-              cc == cfg.cols - 1 ? c_here : cc_s.load(idx + 1);
-          const float div = c_south * ds_r.load(idx) + c_here * dn_r.load(idx) +
-                            c_east * de_r.load(idx) + c_here * dw_r.load(idx);
-          j_s.store(idx, j_s.load(idx) + 0.25f * cfg.lambda * div);
+        const auto p = runtime::lockstep<float>({{cc_s, rc},
+                                                 {cs_s, rs},
+                                                 {cc_s, rc + 1},
+                                                 {ds_r, rc},
+                                                 {dn_r, rc},
+                                                 {de_r, rc},
+                                                 {dw_r, rc},
+                                                 {j_s, rc},
+                                                 {j_s, rc, true}},
+                                                inner);
+        for (std::uint32_t cc = 0; cc < inner; ++cc) {
+          const float c_here = p[0][cc];
+          const float div = p[1][cc] * p[3][cc] + c_here * p[4][cc] +
+                            p[2][cc] * p[5][cc] + c_here * p[6][cc];
+          p[8][cc] = p[7][cc] + step * div;
         }
+        // Last column: the east coefficient is clamped to the cell's own.
+        const std::uint64_t idx = rc + inner;
+        const float c_here = cc_s.load(idx);
+        const float c_south = cs_s.load(rs + inner);
+        const float vds = ds_r.load(idx);
+        const float vdn = dn_r.load(idx);
+        const float vde = de_r.load(idx);
+        const float vdw = dw_r.load(idx);
+        const float div = c_south * vds + c_here * vdn + c_here * vde + c_here * vdw;
+        j_s.store(idx, j_s.load(idx) + step * div);
       }
     });
     iter_traffic += rec2.traffic;
