@@ -179,11 +179,7 @@ void Controller::setup_obs() {
     });
   }
   ts_->add("fleet.pending_jobs", [this] {
-    std::int64_t c = 0;
-    for (const FleetJob& j : jobs_) {
-      if (j.state == FleetJobState::kPending) ++c;
-    }
-    return c;
+    return static_cast<std::int64_t>(pending_jobs_);
   });
   // Reliability vitals, only when the features are on — keeping the series
   // set (and with it the recorder digest) unchanged for existing configs.
@@ -202,18 +198,19 @@ void Controller::setup_obs() {
     });
   }
   // Per-class SLO attainment: on-time finishes per terminal job, in
-  // permille. 1000 while a class has no terminal jobs yet.
+  // permille. 1000 while a class has no terminal jobs yet. Read off the
+  // class instruments: every finish observes the latency histogram once,
+  // every failure counts once, and each late finish or failure is one
+  // violation.
   for (std::uint32_t c = 0;
        c < static_cast<std::uint32_t>(latency_by_class_.size()); ++c) {
     ts_->add("class" + std::to_string(c) + ".slo_attainment_permille",
              [this, c] {
-               std::int64_t term = 0;
-               std::int64_t ok = 0;
-               for (const FleetJob& j : jobs_) {
-                 if (j.req.priority != c || !j.terminal()) continue;
-                 ++term;
-                 if (!j.slo_violation) ++ok;
-               }
+               const auto term = static_cast<std::int64_t>(
+                   latency_by_class_[c]->count() + failed_by_class_[c]->value());
+               const std::int64_t ok =
+                   term - static_cast<std::int64_t>(
+                              violations_by_class_[c]->value());
                return term == 0 ? 1000 : ok * 1000 / term;
              });
   }
@@ -423,7 +420,7 @@ bool Controller::harvest(Node& n) {
 
 void Controller::finish_job(FleetJob& j, const tenant::Job& tj) {
   ensure_classes(j.req.priority + 1);
-  j.state = FleetJobState::kFinished;
+  set_state(j, FleetJobState::kFinished);
   j.finished_at = tj.finished_at;
   j.latency = j.finished_at - j.req.arrival;
   j.checksum = tj.report.checksum;
@@ -445,7 +442,7 @@ void Controller::fail_job(FleetJob& j, Status why, sim::Picos now) {
   if (j.terminal()) return;
   ensure_classes(j.req.priority + 1);
   cancel_replicas(j, why);
-  j.state = FleetJobState::kFailed;
+  set_state(j, FleetJobState::kFailed);
   j.status = why;
   j.finished_at = now;
   j.slo_violation = true;
@@ -475,26 +472,57 @@ void Controller::cancel_replicas(FleetJob& j, Status reason) {
   j.replicas.clear();
 }
 
+bool Controller::overdue(const FleetJob& j, sim::Picos now) const {
+  if (j.req.priority < cfg_.shed_protect_classes) return false;
+  if (j.state == FleetJobState::kPending) {
+    return j.req.arrival <= now && j.req.deadline < now;
+  }
+  if (!cfg_.cancel_overdue || j.state != FleetJobState::kPlaced) return false;
+  // A running job is overdue once every node executing it is past the
+  // deadline — it can no longer finish in time anywhere.
+  bool late = !j.replicas.empty();
+  for (const FleetJob::Replica& r : j.replicas) {
+    // A silently dead node's clock froze at its last observation; its
+    // replicas resolve at detection, not here.
+    const Node& rn = nodes_[r.node];
+    const sim::Picos rnow = rn.sys != nullptr ? rn.sys->now() : rn.known_now;
+    if (rnow <= j.req.deadline) late = false;
+  }
+  return late;
+}
+
 void Controller::expire_and_cancel_overdue(sim::Picos now) {
-  for (FleetJob& j : jobs_) {
-    if (j.terminal() || j.req.priority < cfg_.shed_protect_classes) continue;
-    if (j.state == FleetJobState::kPending) {
-      if (j.req.arrival <= now && j.req.deadline < now) {
-        fail_job(j, Status::kErrorDeadlineExceeded, now);
-      }
-    } else if (cfg_.cancel_overdue && j.state == FleetJobState::kPlaced) {
-      // A running job is overdue once every node executing it is past the
-      // deadline — it can no longer finish in time anywhere.
-      bool overdue = !j.replicas.empty();
-      for (const FleetJob::Replica& r : j.replicas) {
-        // A silently dead node's clock froze at its last observation;
-        // its replicas resolve at detection, not here.
-        const Node& rn = nodes_[r.node];
-        const sim::Picos rnow = rn.sys != nullptr ? rn.sys->now() : rn.known_now;
-        if (rnow <= j.req.deadline) overdue = false;
-      }
-      if (overdue) fail_job(j, Status::kErrorDeadlineExceeded, now);
+  admit_arrivals(now);
+  // fail_job() erases open_[k], which shifts the next job into slot k.
+  for (std::size_t k = 0; k < open_.size();) {
+    FleetJob& j = jobs_[open_[k]];
+    if (overdue(j, now)) {
+      fail_job(j, Status::kErrorDeadlineExceeded, now);
+    } else {
+      ++k;
     }
+  }
+}
+
+// --- open-job index ----------------------------------------------------------
+
+void Controller::set_state(FleetJob& j, FleetJobState s) {
+  if (j.state == FleetJobState::kPending) --pending_jobs_;
+  if (s == FleetJobState::kPending) ++pending_jobs_;
+  j.state = s;
+  if (!j.terminal()) return;
+  const auto idx = static_cast<std::uint64_t>(&j - jobs_.data());
+  const auto it = std::lower_bound(open_.begin(), open_.end(), idx);
+  if (it != open_.end() && *it == idx) open_.erase(it);
+}
+
+void Controller::admit_arrivals(sim::Picos now) {
+  // Requests are in arrival order (run() checks), so one cursor admits
+  // them and open_ stays ascending by index.
+  for (; next_arrival_ < jobs_.size() &&
+         jobs_[next_arrival_].req.arrival <= now;
+       ++next_arrival_) {
+    if (!jobs_[next_arrival_].terminal()) open_.push_back(next_arrival_);
   }
 }
 
@@ -615,35 +643,32 @@ bool Controller::place(FleetJob& j, sim::Picos now) {
   }
   if (placed == 0) return false;
   j.placements += placed;
-  j.state = FleetJobState::kPlaced;
+  set_state(j, FleetJobState::kPlaced);
   if (j.first_placed_at < 0) j.first_placed_at = now;
   return true;
 }
 
 void Controller::try_place_pending(sim::Picos now) {
-  // Offer freed capacity to the most urgent class first, FIFO within it.
-  std::vector<std::uint64_t> ready;
-  for (std::uint64_t i = 0; i < jobs_.size(); ++i) {
-    const FleetJob& j = jobs_[i];
-    if (j.state != FleetJobState::kPending) continue;
-    if (j.req.arrival > now || j.not_before > now) continue;
-    ready.push_back(i);
-  }
-  std::sort(ready.begin(), ready.end(), [&](std::uint64_t a, std::uint64_t b) {
-    const FleetJob& ja = jobs_[a];
-    const FleetJob& jb = jobs_[b];
-    return ja.req.priority != jb.req.priority
-               ? ja.req.priority < jb.req.priority
-               : a < b;
-  });
-  for (const std::uint64_t i : ready) {
-    FleetJob& j = jobs_[i];
-    if (!place(j, now) && !j.terminal()) {
+  // Offer freed capacity to the most urgent class first, FIFO within it:
+  // the ready job with the least (priority, index), one at a time. A
+  // placement changes no other job's readiness, and most calls stop at the
+  // first job that does not fit, so nothing is sorted.
+  admit_arrivals(now);
+  for (;;) {
+    FleetJob* next = nullptr;
+    for (const std::uint64_t i : open_) {  // ascending index
+      FleetJob& j = jobs_[i];
+      if (j.state != FleetJobState::kPending) continue;
+      if (j.req.arrival > now || j.not_before > now) continue;
+      if (next == nullptr || j.req.priority < next->req.priority) next = &j;
+    }
+    if (next == nullptr) return;
+    if (!place(*next, now) && !next->terminal()) {
       // Strict priority: no backfill past a blocked higher-priority job.
       // Without this, every completion's freed footprint is snapped up by
       // smaller low-priority jobs and a large top-class job waits forever
       // for headroom that never accumulates.
-      break;
+      return;
     }
   }
 }
@@ -714,7 +739,7 @@ void Controller::declare_loss(Node& n, sim::Picos time) {
     if (!j.replicas.empty()) continue;  // a live replica elsewhere carries on
 
     // Replay elsewhere under the bounded backoff budget.
-    j.state = FleetJobState::kPending;
+    set_state(j, FleetJobState::kPending);
     j.replayed_after_loss = true;
     if (obs_on()) j.ctx = fault_ctx;
     if (j.loss_attempts >= cfg_.replace_max_retries) {
@@ -824,15 +849,18 @@ void Controller::shed_to_capacity(sim::Picos now) {
   }
   std::uint64_t committed = 0;
   for (const Node& n : nodes_) committed += n.placed_bytes;
+  admit_arrivals(now);
   std::uint64_t pending = 0;
-  for (const FleetJob& j : jobs_) {
+  for (const std::uint64_t i : open_) {
+    const FleetJob& j = jobs_[i];
     if (j.state == FleetJobState::kPending && j.req.arrival <= now) {
       pending += j.footprint;
     }
   }
   while (committed + pending > capacity) {
     FleetJob* victim = nullptr;
-    for (FleetJob& j : jobs_) {
+    for (const std::uint64_t i : open_) {
+      FleetJob& j = jobs_[i];
       if (j.state != FleetJobState::kPending || j.req.arrival > now) continue;
       if (j.req.priority < cfg_.shed_protect_classes) continue;
       if (victim == nullptr ||
@@ -964,7 +992,7 @@ void Controller::evacuate(Node& n, const obs::TraceContext& ctx) {
           [&](const FleetJob::Replica& rep) { return rep.node == n.id; });
       if (r != j.replicas.end()) j.replicas.erase(r);
       if (j.terminal() || !j.replicas.empty()) continue;
-      j.state = FleetJobState::kPending;
+      set_state(j, FleetJobState::kPending);
       j.replayed_after_loss = true;
       j.not_before = ship_end;
       if (obs_on()) j.ctx = ctx;
@@ -1030,8 +1058,10 @@ Status Controller::run(const std::vector<JobRequest>& requests) {
   jobs_.clear();
   jobs_.reserve(requests.size());
   std::uint32_t classes = 1;
-  for (const JobRequest& r : requests) {
-    if (r.tmpl >= templates_.size()) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const JobRequest& r = requests[i];
+    if (r.tmpl >= templates_.size() ||
+        (i > 0 && r.arrival < requests[i - 1].arrival)) {
       return record(Status::kErrorInvalidValue);
     }
     FleetJob j;
@@ -1046,6 +1076,7 @@ Status Controller::run(const std::vector<JobRequest>& requests) {
     jobs_.push_back(std::move(j));
     classes = std::max(classes, r.priority + 1);
   }
+  pending_jobs_ = jobs_.size();
   ensure_classes(classes);
   setup_obs();
 
@@ -1177,12 +1208,17 @@ Status Controller::run(const std::vector<JobRequest>& requests) {
     }
     if (!runnable) {
       // Whatever is still pending can never run (no capacity will free up).
-      for (FleetJob& j : jobs_) {
+      // Each arrival event's try_place_pending admitted its request, so
+      // open_ holds every pending job.
+      for (std::size_t k = 0; k < open_.size();) {
+        FleetJob& j = jobs_[open_[k]];
         if (j.state == FleetJobState::kPending) {
           fail_job(j,
                    j.replayed_after_loss ? Status::kErrorNodeLost
                                          : Status::kErrorDeadlineExceeded,
-                   now);
+                   now);  // erases open_[k]
+        } else {
+          ++k;
         }
       }
       break;

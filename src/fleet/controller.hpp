@@ -163,9 +163,13 @@ class Controller {
 
   /// Serves the whole request stream through the configured fault
   /// schedule and drains the fleet. One-shot: a second call fails with
-  /// kErrorInvalidValue. Returns kSuccess when every request reached a
-  /// terminal state (individual job failures are recorded per job, not
-  /// here); any Status return is also recorded for last_error().
+  /// kErrorInvalidValue. \p requests must be in arrival order
+  /// (requests[i].arrival >= requests[i-1].arrival, as generate_arrivals
+  /// emits them); a stream that steps backwards, or names an unknown
+  /// template, is rejected with kErrorInvalidValue before anything runs.
+  /// Returns kSuccess when every request reached a terminal state
+  /// (individual job failures are recorded per job, not here); any Status
+  /// return is also recorded for last_error().
   Status run(const std::vector<JobRequest>& requests);
 
   // --- results ---------------------------------------------------------------
@@ -286,8 +290,17 @@ class Controller {
   void run_nodes_until(sim::Picos t);
   bool step_node(Node& n);  ///< one quantum + slow-factor dilation; false = idle
   bool harvest(Node& n);    ///< collect newly terminal jobs; true if any
+  [[nodiscard]] bool overdue(const FleetJob& j, sim::Picos now) const;
   void expire_and_cancel_overdue(sim::Picos now);
   void try_place_pending(sim::Picos now);
+
+  // Open-job index.
+  /// The one writer of FleetJob::state: keeps pending_jobs_ counted and
+  /// drops a job from open_ once it is terminal.
+  void set_state(FleetJob& j, FleetJobState s);
+  /// Moves the arrival cursor past every request with arrival <= now,
+  /// appending the non-terminal ones to open_.
+  void admit_arrivals(sim::Picos now);
 
   // Placement.
   [[nodiscard]] NodeId pick_node(std::uint64_t footprint,
@@ -330,6 +343,11 @@ class Controller {
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<Node> nodes_;  ///< actives then spares; index == NodeId
   std::vector<FleetJob> jobs_;
+  /// Indices of admitted, non-terminal jobs, ascending: what every
+  /// per-event walk visits instead of the whole of jobs_.
+  std::vector<std::uint64_t> open_;
+  std::size_t next_arrival_ = 0;   ///< arrival cursor into jobs_
+  std::uint64_t pending_jobs_ = 0; ///< jobs in kPending, admitted or not
   std::vector<Retry> retries_;  ///< kept sorted by (due, job) ascending
   bool ran_ = false;
   Status last_error_ = Status::kSuccess;

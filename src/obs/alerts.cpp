@@ -42,9 +42,9 @@ std::size_t AlertEngine::evaluate() {
   // Walk retained recorder edges newer than the last one consumed, in
   // order. Edges the ring already overwrote are gone — callers evaluate at
   // every obs tick, far more often than the ring wraps.
-  for (std::size_t i = 0; i < ts_->size(); ++i) {
+  for (std::size_t i = ts_->first_at_or_after(consumed_edge_ + 1);
+       i < ts_->size(); ++i) {
     const sim::Picos edge = ts_->time_at(i);
-    if (edge <= consumed_edge_) continue;
     for (std::uint32_t ri = 0; ri < rules_.size(); ++ri) {
       RuleState& s = state_[ri];
       if (s.series == TimeSeries::kNoSeries) continue;

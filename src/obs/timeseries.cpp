@@ -70,13 +70,26 @@ std::int64_t TimeSeries::value_at(std::size_t series,
   return series_[series].ring[slot_of(i)];
 }
 
+std::size_t TimeSeries::first_at_or_after(sim::Picos t) const noexcept {
+  std::size_t lo = 0;
+  std::size_t hi = used_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (time_at(mid) < t) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 SeriesWindow TimeSeries::window(std::size_t series, sim::Picos t0,
                                 sim::Picos t1) const noexcept {
   SeriesWindow w;
   if (series >= series_.size()) return w;
-  for (std::size_t i = 0; i < used_; ++i) {
-    const sim::Picos t = time_at(i);
-    if (t < t0 || t > t1) continue;
+  for (std::size_t i = first_at_or_after(t0); i < used_; ++i) {
+    if (time_at(i) > t1) break;
     const std::int64_t v = value_at(series, i);
     if (w.count == 0 || v < w.min) w.min = v;
     if (w.count == 0 || v > w.max) w.max = v;

@@ -81,6 +81,10 @@ class TimeSeries {
   [[nodiscard]] std::int64_t value_at(std::size_t series,
                                       std::size_t i) const noexcept;
 
+  /// Index of the oldest retained sample with time >= \p t, or size()
+  /// when there is none. Retained times ascend, so this is a binary search.
+  [[nodiscard]] std::size_t first_at_or_after(sim::Picos t) const noexcept;
+
   /// Aggregate of one series over retained samples with t0 <= t <= t1.
   [[nodiscard]] SeriesWindow window(std::size_t series, sim::Picos t0,
                                     sim::Picos t1) const noexcept;

@@ -60,6 +60,7 @@ void Scheduler::admit(Job& j) {
   j.coro = j.spec.make(*j.rt);
   sys_->set_current_tenant(kNoTenant);
   j.state = JobState::kRunning;
+  running_.push_back(j.id);
 }
 
 void Scheduler::admit_waiting() {
@@ -74,12 +75,13 @@ void Scheduler::admit_waiting() {
 }
 
 Job* Scheduler::pick_next() {
-  // Scan-and-min over runnable jobs: tenant counts are small and a linear
-  // scan with a total-order key is trivially deterministic.
+  // Scan-and-min over the running jobs. Every key contains the job's
+  // unique id, so it is a total order: the pick does not depend on the
+  // order of running_.
   Job* best = nullptr;
   std::tuple<std::int64_t, std::uint64_t, std::uint64_t> best_key{};
-  for (Job& j : jobs_) {
-    if (!j.runnable()) continue;
+  for (const TenantId id : running_) {
+    Job& j = jobs_[id - 1];
     std::tuple<std::int64_t, std::uint64_t, std::uint64_t> key{};
     switch (cfg_.policy) {
       case Policy::kMinLocalTime:
@@ -105,6 +107,7 @@ Job* Scheduler::pick_next() {
 }
 
 void Scheduler::retire(Job& j) {
+  running_.erase(std::find(running_.begin(), running_.end(), j.id));
   j.finished_at = sys_->now();
   j.coro = apps::AppCoro{};  // release the frame (buffers already freed)
   admitted_bytes_ -= j.spec.footprint_bytes;

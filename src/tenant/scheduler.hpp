@@ -1,9 +1,9 @@
 #pragma once
 
 #include <deque>
-#include <string_view>
-
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "core/system.hpp"
 #include "tenant/job.hpp"
@@ -119,11 +119,7 @@ class Scheduler {
   /// Node-local backlog: admitted-but-unfinished jobs plus the over-budget
   /// wait queue. What the fleet flight recorder samples as queue depth.
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    std::size_t n = waiting_.size();
-    for (const Job& j : jobs_) {
-      if (j.state == JobState::kRunning) ++n;
-    }
-    return n;
+    return waiting_.size() + running_.size();
   }
   /// Non-null when SchedulerConfig::recovery.enabled was set.
   [[nodiscard]] const RecoveryManager* recovery() const noexcept {
@@ -144,6 +140,9 @@ class Scheduler {
   std::uint64_t total_quanta_ = 0;  ///< checkpoint-period clock
   std::deque<Job> jobs_;        ///< all jobs, indexed by id - 1
   std::deque<TenantId> waiting_;  ///< over-budget FIFO (queue_over_budget)
+  /// Ids of kRunning jobs, in admission order: admit() appends, retire()
+  /// erases, so pick_next never visits retired or queued jobs.
+  std::vector<TenantId> running_;
   std::unique_ptr<RecoveryManager> rm_;  ///< present when recovery.enabled
 };
 

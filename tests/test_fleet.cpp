@@ -183,6 +183,26 @@ TEST(FleetController, RunIsOneShotAndErrorsAreStickyUntilRead) {
   EXPECT_EQ(ctl.get_last_error(), Status::kSuccess);
 }
 
+TEST(FleetController, RejectsOutOfOrderArrivals) {
+  // The arrival cursor takes requests in order; a stream that steps back
+  // in time is refused before any node runs, not replayed out of order.
+  fleet::Controller ctl{small_fleet(1), catalog()};
+  const std::vector<fleet::JobRequest> reqs = {
+      make_req(0, solo().end), make_req(1, solo().end / 2)};
+  EXPECT_EQ(ctl.run(reqs), Status::kErrorInvalidValue);
+  EXPECT_EQ(ctl.get_last_error(), Status::kErrorInvalidValue);
+  EXPECT_EQ(ctl.metrics().counter("ghum_fleet_arrivals_total").value(), 0u);
+  EXPECT_EQ(ctl.metrics().counter("ghum_fleet_placements_total").value(), 0u);
+  EXPECT_EQ(ctl.node_status()[0].local_now, 0);
+
+  // Equal arrival times are in order.
+  fleet::Controller tied{small_fleet(1), catalog()};
+  EXPECT_EQ(tied.run({make_req(0, 0), make_req(1, 0)}), Status::kSuccess);
+  for (const fleet::FleetJob& j : tied.jobs()) {
+    EXPECT_EQ(j.state, fleet::FleetJobState::kFinished);
+  }
+}
+
 // --- placement and SLO accounting --------------------------------------------
 
 TEST(FleetController, ServesRequestsMatchingSoloResults) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -244,6 +246,148 @@ TEST(AlertEngine, DigestIsBitIdenticalAcrossEqualRuns) {
     return eng.digest();
   };
   EXPECT_EQ(run(), run());
+}
+
+// ---------------------------------------------------------------------------
+// Differential: binary-searched ring queries vs brute-force scans.
+// ---------------------------------------------------------------------------
+
+obs::SeriesWindow brute_window(const obs::TimeSeries& ts, std::size_t series,
+                               sim::Picos t0, sim::Picos t1) {
+  obs::SeriesWindow w;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    const sim::Picos t = ts.time_at(i);
+    if (t < t0 || t > t1) continue;
+    const std::int64_t v = ts.value_at(series, i);
+    if (w.count == 0 || v < w.min) w.min = v;
+    if (w.count == 0 || v > w.max) w.max = v;
+    w.sum += v;
+    ++w.count;
+  }
+  return w;
+}
+
+/// The alert semantics evaluated by scanning every retained edge, with
+/// burn windows aggregated by brute_window.
+struct BruteAlerts {
+  BruteAlerts(const obs::TimeSeries& t, std::vector<obs::AlertRule> r)
+      : ts(&t),
+        rules(std::move(r)),
+        open(rules.size(), false),
+        since(rules.size(), -1) {}
+
+  const obs::TimeSeries* ts;
+  std::vector<obs::AlertRule> rules;
+  std::vector<bool> open;
+  std::vector<sim::Picos> since;
+  std::vector<obs::AlertEvent> events;
+  sim::Picos consumed = -1;
+
+  void evaluate() {
+    for (std::size_t i = 0; i < ts->size(); ++i) {
+      const sim::Picos edge = ts->time_at(i);
+      if (edge <= consumed) continue;
+      for (std::uint32_t ri = 0; ri < rules.size(); ++ri) {
+        const obs::AlertRule& r = rules[ri];
+        const std::size_t s = ts->find(r.instrument);
+        std::int64_t v = ts->value_at(s, i);
+        if (r.burn_window > 0) {
+          const obs::SeriesWindow w =
+              brute_window(*ts, s, edge - r.burn_window + 1, edge);
+          if (w.count != 0) v = w.avg();
+        }
+        const bool breach = r.predicate == obs::AlertPredicate::kAbove
+                                ? v > r.threshold
+                                : v < r.threshold;
+        if (breach) {
+          if (since[ri] < 0) since[ri] = edge;
+          if (!open[ri] && edge - since[ri] >= r.for_duration) {
+            open[ri] = true;
+            events.push_back({edge, ri, true, v});
+          }
+        } else {
+          since[ri] = -1;
+          if (open[ri]) {
+            open[ri] = false;
+            events.push_back({edge, ri, false, v});
+          }
+        }
+      }
+      consumed = edge;
+    }
+  }
+};
+
+TEST(TimeSeries, RingSearchesMatchBruteForceOnWrappedRings) {
+  std::mt19937_64 rng{0xa1e27};
+  const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  const auto between = [&rng](sim::Picos lo, sim::Picos hi) {
+    return lo + static_cast<sim::Picos>(
+                    rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  std::size_t wrapped = 0;
+  std::size_t windows = 0;
+  std::size_t transitions = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto cadence = static_cast<sim::Picos>(1 + below(20));
+    obs::TimeSeries ts{cadence, 1 + below(24)};
+    std::vector<std::int64_t> vals(1 + below(3));
+    for (std::size_t s = 0; s < vals.size(); ++s) {
+      ts.add("s" + std::to_string(s), [&vals, s] { return vals[s]; });
+    }
+    std::vector<obs::AlertRule> rules(1 + below(4));
+    for (std::size_t ri = 0; ri < rules.size(); ++ri) {
+      obs::AlertRule& r = rules[ri];
+      r.name = "r" + std::to_string(ri);
+      r.instrument = "s" + std::to_string(below(vals.size()));
+      r.predicate = below(2) == 0 ? obs::AlertPredicate::kAbove
+                                  : obs::AlertPredicate::kBelow;
+      r.threshold = static_cast<std::int64_t>(below(12));
+      r.for_duration = between(0, 3 * cadence);
+      r.burn_window = below(2) == 0 ? 0 : between(1, 8 * cadence);
+    }
+    obs::AlertEngine eng{ts, rules};
+    BruteAlerts ref{ts, rules};
+
+    sim::Picos now = 0;
+    for (int step = 0; step < 60; ++step) {
+      for (std::int64_t& v : vals) v = static_cast<std::int64_t>(below(12));
+      now += between(0, 4 * cadence);
+      ts.advance(now);
+      // Skipped evaluations let the ring wrap past unconsumed edges.
+      if (below(3) != 0) {
+        eng.evaluate();
+        ref.evaluate();
+      }
+      for (int q = 0; q < 4; ++q) {
+        const std::size_t s = below(vals.size());
+        const sim::Picos t0 = between(-cadence, now + cadence);
+        const sim::Picos t1 = t0 + between(-cadence, 6 * cadence);
+        const obs::SeriesWindow got = ts.window(s, t0, t1);
+        const obs::SeriesWindow want = brute_window(ts, s, t0, t1);
+        ASSERT_EQ(got.count, want.count)
+            << "trial " << trial << " [" << t0 << ", " << t1 << "]";
+        ASSERT_EQ(got.min, want.min);
+        ASSERT_EQ(got.max, want.max);
+        ASSERT_EQ(got.sum, want.sum);
+        windows += want.count > 0 ? 1 : 0;
+      }
+    }
+    eng.evaluate();
+    ref.evaluate();
+    ASSERT_EQ(eng.events().size(), ref.events.size()) << "trial " << trial;
+    for (std::size_t e = 0; e < ref.events.size(); ++e) {
+      EXPECT_EQ(eng.events()[e].time, ref.events[e].time) << trial;
+      EXPECT_EQ(eng.events()[e].rule, ref.events[e].rule) << trial;
+      EXPECT_EQ(eng.events()[e].open, ref.events[e].open) << trial;
+      EXPECT_EQ(eng.events()[e].value, ref.events[e].value) << trial;
+    }
+    wrapped += ts.dropped() > 0 ? 1 : 0;
+    transitions += ref.events.size();
+  }
+  EXPECT_GT(wrapped, 150u);
+  EXPECT_GT(windows, 1000u);
+  EXPECT_GT(transitions, 500u);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,6 +708,188 @@ TEST(FleetObs, FederatedRegistryEqualsPerNodeSums) {
   const std::string json = ctl.metrics_json();
   std::string err;
   EXPECT_TRUE(obs::json_valid(json, &err)) << err;
+}
+
+// ---------------------------------------------------------------------------
+// Obs-on storm: a silent death, a degrade evacuated to a spare, a lossy
+// fabric, shedding and three classes. Pins the recorder and alert digests
+// and checks the instrument-derived samplers against job-table scans.
+// ---------------------------------------------------------------------------
+
+/// Template factory hook: the first placement appends oracle series to the
+/// running recorder that evaluate the job-table scan definitions of
+/// fleet.pending_jobs and class<c>.slo_attainment_permille over ctl.jobs().
+struct ScanOracle {
+  const fleet::Controller* ctl = nullptr;
+  std::uint32_t classes = 0;
+  bool armed = false;
+  sim::Picos armed_after = -1;  ///< recorder's last edge when the series joined
+};
+
+std::vector<fleet::JobTemplate> storm_catalog(ScanOracle* oracle) {
+  std::vector<fleet::JobTemplate> out = catalog();
+  if (oracle == nullptr) return out;
+  const auto make = out[0].make;
+  out[0].make = [make, oracle](runtime::Runtime& rt) {
+    if (!oracle->armed) {
+      oracle->armed = true;
+      // The recorder exists from the start of run(); the factory runs at
+      // placement, outside sampling, so adding series here is safe.
+      auto* ts = const_cast<obs::TimeSeries*>(oracle->ctl->recorder());
+      oracle->armed_after = ts->last_edge();
+      const fleet::Controller* ctl = oracle->ctl;
+      ts->add("oracle.pending_jobs", [ctl] {
+        std::int64_t c = 0;
+        for (const fleet::FleetJob& j : ctl->jobs()) {
+          if (j.state == fleet::FleetJobState::kPending) ++c;
+        }
+        return c;
+      });
+      for (std::uint32_t c = 0; c < oracle->classes; ++c) {
+        ts->add("oracle.class" + std::to_string(c), [ctl, c] {
+          std::int64_t term = 0;
+          std::int64_t ok = 0;
+          for (const fleet::FleetJob& j : ctl->jobs()) {
+            if (j.req.priority != c || !j.terminal()) continue;
+            ++term;
+            if (!j.slo_violation) ++ok;
+          }
+          return term == 0 ? 1000 : ok * 1000 / term;
+        });
+      }
+    }
+    return make(rt);
+  };
+  return out;
+}
+
+fleet::FleetConfig storm_fleet(std::uint64_t seed) {
+  fleet::FleetConfig f = obs_fleet(3);
+  f.spares = 1;
+  f.obs.cadence = solo().end / 32;
+  f.placement = fleet::PlacementPolicy::kLoadBalance;
+  f.node_footprint_budget = 2ull << 20;  // two jobs per node
+  f.shed_protect_classes = 1;
+  f.replace_max_retries = 3;
+  f.replace_backoff = solo().end / 4;
+  f.faults.node_loss = {{.time = solo().end, .node = 1}};
+  f.faults.node_degrade = {
+      {.time = 2 * solo().end, .node = 0, .slow_factor = 3}};
+  f.faults.evacuate_degraded = true;
+  f.faults.messages.enabled = true;
+  f.faults.messages.seed = seed * 0x9e3779b97f4a7c15ull + 1;
+  f.faults.messages.drop_prob = 0.04;
+  f.faults.messages.corrupt_prob = 0.02;
+  f.faults.messages.duplicate_prob = 0.02;
+  f.faults.messages.reorder_prob = 0.02;
+  f.heartbeat.enabled = true;
+  f.heartbeat.interval = solo().end / 8;
+  f.heartbeat.miss_threshold = 3;
+  obs::AlertRule backlog;
+  backlog.name = "fleet-backlog";
+  backlog.instrument = "fleet.pending_jobs";
+  backlog.predicate = obs::AlertPredicate::kAbove;
+  backlog.threshold = 2;
+  backlog.for_duration = f.obs.cadence;
+  obs::AlertRule burn;
+  burn.name = "class2-burn";
+  burn.instrument = "class2.slo_attainment_permille";
+  burn.predicate = obs::AlertPredicate::kBelow;
+  burn.threshold = 900;
+  burn.burn_window = 4 * f.obs.cadence;
+  f.obs.alerts = {backlog, burn};
+  return f;
+}
+
+std::vector<fleet::JobRequest> storm_requests(std::uint64_t seed) {
+  fleet::ArrivalConfig a;
+  a.seed = seed;
+  a.count = 48;
+  a.mean_interarrival = solo().end / 16;
+  a.priority_classes = 3;
+  a.class_weights = {1, 2, 3};
+  a.deadline_floor = 2 * solo().end;
+  a.top_replicas = 2;
+  return fleet::generate_arrivals(a, catalog());
+}
+
+struct StormDigests {
+  std::uint64_t controller = 0;
+  std::uint64_t recorder = 0;
+  std::uint64_t alerts = 0;
+};
+
+constexpr std::uint64_t kStormSeeds[] = {1, 2, 3};
+
+TEST(FleetObsStorm, DigestsMatchPinnedGolden) {
+  // Captured before the controller's samplers and placement walks moved
+  // from whole-table scans to the open-job index and the instruments.
+  constexpr StormDigests kGolden[] = {
+      {0x0a84162945621dc8ull, 0x18b296d41b5f2f45ull, 0x464cf406d2c89819ull},
+      {0x454e9b7bba09a169ull, 0xa6d6d6c1a3129ea5ull, 0x9d099bfd2905cf67ull},
+      {0xd9d5df5e51af0186ull, 0x2a72e481bf9831acull, 0xb7d74f67e44313fdull},
+  };
+  for (std::size_t i = 0; i < std::size(kStormSeeds); ++i) {
+    const std::uint64_t seed = kStormSeeds[i];
+    fleet::Controller ctl{storm_fleet(seed), storm_catalog(nullptr)};
+    ASSERT_EQ(ctl.run(storm_requests(seed)), Status::kSuccess) << seed;
+    ASSERT_NE(ctl.recorder(), nullptr);
+    ASSERT_NE(ctl.alert_engine(), nullptr);
+    const StormDigests got{ctl.digest(), ctl.recorder()->digest(),
+                           ctl.alert_engine()->digest()};
+    EXPECT_EQ(got.controller, kGolden[i].controller) << "seed " << seed;
+    EXPECT_EQ(got.recorder, kGolden[i].recorder) << "seed " << seed;
+    EXPECT_EQ(got.alerts, kGolden[i].alerts) << "seed " << seed;
+  }
+}
+
+TEST(FleetObsStorm, SamplersMatchJobScanOracle) {
+  for (const std::uint64_t seed : kStormSeeds) {
+    ScanOracle oracle;
+    oracle.classes = 3;
+    fleet::Controller ctl{storm_fleet(seed), storm_catalog(&oracle)};
+    oracle.ctl = &ctl;
+    ASSERT_EQ(ctl.run(storm_requests(seed)), Status::kSuccess) << seed;
+    ASSERT_TRUE(oracle.armed) << seed;
+
+    // The storm exercised what it claims to.
+    obs::MetricsRegistry& m = ctl.metrics();
+    EXPECT_GT(m.counter("ghum_fleet_detected_losses_total").value(), 0u)
+        << seed;
+    EXPECT_GT(m.counter("ghum_fleet_node_degrades_total").value(), 0u) << seed;
+    EXPECT_GT(m.counter("ghum_fleet_shed_total").value(), 0u) << seed;
+    EXPECT_GT(ctl.fabric()->reliable_totals().retransmits, 0u) << seed;
+    std::uint32_t classes_seen = 0;
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      classes_seen += ctl.slo_summary(c).submitted > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(classes_seen, 3u) << seed;
+
+    const obs::TimeSeries& ts = *ctl.recorder();
+    ASSERT_EQ(ts.dropped(), 0u);
+    std::vector<std::pair<std::size_t, std::size_t>> pairs = {
+        {ts.find("fleet.pending_jobs"), ts.find("oracle.pending_jobs")}};
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      pairs.emplace_back(
+          ts.find("class" + std::to_string(c) + ".slo_attainment_permille"),
+          ts.find("oracle.class" + std::to_string(c)));
+    }
+    std::size_t compared = 0;
+    for (const auto& [got, want] : pairs) {
+      ASSERT_NE(got, obs::TimeSeries::kNoSeries);
+      ASSERT_NE(want, obs::TimeSeries::kNoSeries);
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        if (ts.time_at(i) <= oracle.armed_after) continue;
+        ASSERT_EQ(ts.value_at(got, i), ts.value_at(want, i))
+            << "seed " << seed << " " << ts.name(got) << " at edge "
+            << ts.time_at(i);
+        ++compared;
+      }
+    }
+    EXPECT_GT(compared, 4 * 10u) << seed;
+
+    for (const fleet::FleetJob& j : ctl.jobs()) EXPECT_TRUE(j.terminal());
+  }
 }
 
 TEST(FleetObs, RegistryMergePreservesCountsGaugesAndHistograms) {

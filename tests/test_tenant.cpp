@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "apps/hotspot.hpp"
 #include "apps/pathfinder.hpp"
 #include "apps/qvsim.hpp"
@@ -251,6 +254,140 @@ TEST(TenantScheduler, FailedQuantumRetiresJobAndKeepsOthersRunning) {
   EXPECT_EQ(sched.job(1).state, tenant::JobState::kFailed);
   EXPECT_EQ(sched.job(1).status, Status::kErrorMemoryAllocation);
   EXPECT_EQ(sched.job(2).state, tenant::JobState::kFinished);
+}
+
+// --- property: the running index against a job-table scan -------------------
+
+/// A job that logs \p label at every quantum it is given, advances the clock
+/// by \p tick per quantum, and throws at quantum \p fail_at (never when
+/// fail_at >= steps). It takes exactly min(steps, fail_at + 1) quanta.
+apps::AppCoro logging_job(runtime::Runtime& rt,
+                          std::vector<tenant::TenantId>* log,
+                          tenant::TenantId label, std::uint32_t steps,
+                          std::uint32_t fail_at, sim::Picos tick) {
+  for (std::uint32_t s = 0; s < steps; ++s) {
+    log->push_back(label);
+    if (s == fail_at) {
+      throw StatusError{Status::kErrorUnrecoverable, "injected job failure"};
+    }
+    rt.system().advance(tick);
+    if (s + 1 < steps) co_yield 0;
+  }
+  co_return apps::AppReport{};
+}
+
+/// Whether \p a runs before \p b under \p p, restated from the Policy docs.
+bool runs_before(const tenant::Job& a, const tenant::Job& b, tenant::Policy p) {
+  switch (p) {
+    case tenant::Policy::kMinLocalTime:
+      return a.local_now != b.local_now ? a.local_now < b.local_now
+                                        : a.id < b.id;
+    case tenant::Policy::kFifo:
+      return a.id < b.id;
+    case tenant::Policy::kRoundRobin:
+      return a.quanta != b.quanta ? a.quanta < b.quanta : a.id < b.id;
+    case tenant::Policy::kPriority:
+      return a.spec.priority != b.spec.priority
+                 ? a.spec.priority > b.spec.priority
+                 : a.id < b.id;
+  }
+  return false;
+}
+
+/// Reference pick: scan every job ever submitted, min by runs_before.
+tenant::TenantId scan_pick(const tenant::Scheduler& s, tenant::Policy p) {
+  const tenant::Job* best = nullptr;
+  for (const tenant::Job& j : s.jobs()) {
+    if (j.state != tenant::JobState::kRunning) continue;
+    if (best == nullptr || runs_before(j, *best, p)) best = &j;
+  }
+  return best == nullptr ? tenant::kNoTenant : best->id;
+}
+
+std::size_t scan_depth(const tenant::Scheduler& s) {
+  std::size_t n = 0;
+  for (const tenant::Job& j : s.jobs()) {
+    if (j.state == tenant::JobState::kRunning ||
+        j.state == tenant::JobState::kQueued) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(TenantScheduler, PickAndQueueDepthMatchJobTableScan) {
+  std::mt19937_64 rng{0x7e4a47};
+  const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+  for (const tenant::Policy policy :
+       {tenant::Policy::kMinLocalTime, tenant::Policy::kFifo,
+        tenant::Policy::kRoundRobin, tenant::Policy::kPriority}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      core::System sys{small_cfg()};
+      tenant::SchedulerConfig cfg;
+      cfg.policy = policy;
+      cfg.footprint_budget = 8ull << 20;
+      cfg.queue_over_budget = trial % 2 == 0;
+      std::vector<tenant::TenantId> log;  // outlives the job coroutines
+      tenant::Scheduler sched{sys, cfg};
+      std::size_t steps_checked = 0;
+
+      const auto step_and_check = [&] {
+        const tenant::TenantId want = scan_pick(sched, policy);
+        const std::size_t logged = log.size();
+        const bool ran = sched.step();
+        if (want == tenant::kNoTenant) {
+          EXPECT_FALSE(ran);
+          EXPECT_EQ(log.size(), logged);
+          return false;
+        }
+        EXPECT_TRUE(ran);
+        if (log.size() != logged + 1) {
+          ADD_FAILURE() << "a quantum must log exactly once";
+          return false;
+        }
+        EXPECT_EQ(log.back(), want);
+        ++steps_checked;
+        return ran;
+      };
+
+      for (int op = 0; op < 300; ++op) {
+        const std::uint64_t r = below(10);
+        if (r < 3) {
+          // Footprints up to 10 MiB against an 8 MiB budget: some jobs are
+          // rejected, some queue (or are rejected) behind running ones.
+          const auto label =
+              static_cast<tenant::TenantId>(sched.jobs().size() + 1);
+          const auto steps = static_cast<std::uint32_t>(1 + below(5));
+          const auto fail_at = static_cast<std::uint32_t>(below(8));
+          const auto tick = static_cast<sim::Picos>(below(3) * 1000);
+          tenant::JobSpec spec;
+          spec.name = "logger";
+          spec.footprint_bytes = (1 + below(10)) << 20;
+          spec.priority = static_cast<int>(below(5)) - 2;
+          spec.make = [&log, label, steps, fail_at,
+                       tick](runtime::Runtime& rt) {
+            return logging_job(rt, &log, label, steps, fail_at, tick);
+          };
+          tenant::TenantId id = tenant::kNoTenant;
+          (void)sched.submit(std::move(spec), &id);
+          EXPECT_EQ(id, label);
+        } else if (r < 4 && !sched.jobs().empty()) {
+          const auto id =
+              static_cast<tenant::TenantId>(1 + below(sched.jobs().size()));
+          (void)sched.cancel(id, Status::kErrorDeadlineExceeded);
+        } else {
+          (void)step_and_check();
+        }
+        ASSERT_EQ(sched.queue_depth(), scan_depth(sched)) << "op " << op;
+      }
+      while (step_and_check()) {
+        ASSERT_EQ(sched.queue_depth(), scan_depth(sched));
+      }
+      EXPECT_EQ(sched.queue_depth(), 0u);
+      for (const tenant::Job& j : sched.jobs()) EXPECT_TRUE(j.terminal());
+      EXPECT_GT(steps_checked, 50u);
+    }
+  }
 }
 
 }  // namespace
