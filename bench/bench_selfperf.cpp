@@ -15,7 +15,8 @@
 // touched page by page through the resolve/advance_view/commit access
 // path. Only the extent-based page tables make this viable; the smoke
 // asserts the structural wins (run count stays small, simulator RSS grows
-// sub-linearly in the simulated footprint).
+// sub-linearly in the simulated footprint) and pins each MMU's TLB hits and
+// misses, which no digest covers.
 //
 // Flags:
 //   --smoke               small problem sizes (the ctest "perf" smoke target)
@@ -32,6 +33,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -214,6 +216,23 @@ std::uint64_t sweep_pages(core::System& sys, std::uint64_t base,
   return visits;
 }
 
+/// Per-MMU TLB hits and misses of the full-scale smoke, recorded from the
+/// list-based LRU TLB before its slot-array rewrite. Every pass streams
+/// 2 Mi fresh 64 KiB pages through TLBs of a few thousand entries, so every
+/// lookup misses; the GPU-exclusive uTLB is never consulted.
+struct TlbCounts {
+  const char* mmu;
+  std::uint64_t hits;
+  std::uint64_t misses;
+};
+constexpr TlbCounts kFullScaleTlb[] = {
+    {"smmu_cpu", 0, 2097152},
+    {"smmu_ats", 0, 4194304},
+    {"gmmu_gpu", 0, 0},
+    {"gmmu_ats", 0, 4194304},
+};
+constexpr std::size_t kMmus = std::size(kFullScaleTlb);
+
 struct FullScaleResult {
   std::uint32_t qubits = 0;
   std::uint64_t footprint = 0;
@@ -225,9 +244,11 @@ struct FullScaleResult {
   std::uint64_t ddr_resident = 0;
   long rss_before_kb = 0;
   long rss_after_kb = 0;
+  TlbCounts tlb[kMmus] = {};
   bool runs_ok = false;
   bool rss_ok = false;
-  [[nodiscard]] bool ok() const noexcept { return runs_ok && rss_ok; }
+  bool tlb_ok = false;
+  [[nodiscard]] bool ok() const noexcept { return runs_ok && rss_ok && tlb_ok; }
 };
 
 /// The paper's unscaled machine (96 GB HBM / 480 GB LPDDR5X) hosting a
@@ -264,6 +285,15 @@ FullScaleResult run_full_scale(std::uint32_t qubits) {
   r.hbm_resident = pt.resident_bytes(mem::Node::kGpu);
   r.ddr_resident = pt.resident_bytes(mem::Node::kCpu);
   r.rss_after_kb = read_vmrss_kb();
+  auto& m = sys.machine();
+  const pagetable::Tlb* tlbs[kMmus] = {&m.smmu().cpu_tlb(), &m.smmu().ats_tlb(),
+                                       &m.gmmu().utlb_gpu(), &m.gmmu().utlb_sys()};
+  r.tlb_ok = true;
+  for (std::size_t i = 0; i < kMmus; ++i) {
+    r.tlb[i] = {kFullScaleTlb[i].mmu, tlbs[i]->hits(), tlbs[i]->misses()};
+    r.tlb_ok = r.tlb_ok && r.tlb[i].hits == kFullScaleTlb[i].hits &&
+               r.tlb[i].misses == kFullScaleTlb[i].misses;
+  }
 
   // Structural gates. A dense allocation split once by the HBM/DDR
   // boundary is a handful of runs; 64 leaves headroom for stray
@@ -373,8 +403,17 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(fs.ddr_resident));
       std::fprintf(f, "  \"rss_before_kb\": %ld,\n", fs.rss_before_kb);
       std::fprintf(f, "  \"rss_after_kb\": %ld,\n", fs.rss_after_kb);
+      std::fprintf(f, "  \"tlb\": {");
+      for (std::size_t i = 0; i < kMmus; ++i) {
+        std::fprintf(f, "%s\"%s\": {\"hits\": %llu, \"misses\": %llu}",
+                     i == 0 ? "" : ", ", fs.tlb[i].mmu,
+                     static_cast<unsigned long long>(fs.tlb[i].hits),
+                     static_cast<unsigned long long>(fs.tlb[i].misses));
+      }
+      std::fprintf(f, "},\n");
       std::fprintf(f, "  \"runs_ok\": %s,\n", fs.runs_ok ? "true" : "false");
-      std::fprintf(f, "  \"rss_ok\": %s\n", fs.rss_ok ? "true" : "false");
+      std::fprintf(f, "  \"rss_ok\": %s,\n", fs.rss_ok ? "true" : "false");
+      std::fprintf(f, "  \"tlb_ok\": %s\n", fs.tlb_ok ? "true" : "false");
       std::fprintf(f, "}\n");
       std::fclose(f);
       std::printf("wrote %s\n", fullscale_path.c_str());
@@ -421,11 +460,19 @@ int main(int argc, char** argv) {
   if (fullscale_ran && !fs.ok()) {
     std::fprintf(stderr,
                  "FAIL: full-scale smoke structural gate (%zu extents%s, RSS "
-                 "%+ld KiB over a %.0f GiB footprint%s)\n",
+                 "%+ld KiB over a %.0f GiB footprint%s%s)\n",
                  fs.run_count, fs.runs_ok ? "" : " — too fragmented",
                  fs.rss_after_kb - fs.rss_before_kb,
                  static_cast<double>(fs.footprint) / (1ull << 30),
-                 fs.rss_ok ? "" : " — super-linear RSS");
+                 fs.rss_ok ? "" : " — super-linear RSS",
+                 fs.tlb_ok ? "" : ", TLB hits/misses differ from the pinned counts");
+    for (std::size_t i = 0; i < kMmus; ++i) {
+      std::fprintf(stderr, "  %s: %llu hits, %llu misses (pinned %llu, %llu)\n",
+                   fs.tlb[i].mmu, static_cast<unsigned long long>(fs.tlb[i].hits),
+                   static_cast<unsigned long long>(fs.tlb[i].misses),
+                   static_cast<unsigned long long>(kFullScaleTlb[i].hits),
+                   static_cast<unsigned long long>(kFullScaleTlb[i].misses));
+    }
     return 1;
   }
 

@@ -50,6 +50,16 @@ sorted_entries(const Map& m) {
   return v;
 }
 
+/// Reads a residency byte, rejecting anything but mem::Node's two values.
+mem::Node read_node(Reader& r, const char* section) {
+  const std::uint8_t b = r.u8();
+  if (b > static_cast<std::uint8_t>(mem::Node::kGpu)) {
+    throw StatusError{Status::kErrorInvalidValue,
+                      std::string{"checkpoint: bad node byte in "} + section};
+  }
+  return static_cast<mem::Node>(b);
+}
+
 }  // namespace
 
 // --- SystemConfig -----------------------------------------------------------
@@ -151,9 +161,15 @@ core::SystemConfig Snapshotter::load_config(Reader& r) {
   cfg.managed_prefetch = r.boolean();
   cfg.autonuma_balancing = r.boolean();
   cfg.autonuma_scan_period = r.i64();
-  cfg.cpu_tlb_entries = static_cast<std::size_t>(r.u64());
-  cfg.ats_tlb_entries = static_cast<std::size_t>(r.u64());
-  cfg.gpu_utlb_entries = static_cast<std::size_t>(r.u64());
+  for (std::size_t* entries :
+       {&cfg.cpu_tlb_entries, &cfg.ats_tlb_entries, &cfg.gpu_utlb_entries}) {
+    const std::uint64_t n = r.u64();
+    if (n > pagetable::Tlb::kMaxCapacity) {
+      throw StatusError{Status::kErrorInvalidValue,
+                        "checkpoint: TLB capacity out of range"};
+    }
+    *entries = static_cast<std::size_t>(n);
+  }
   (void)r.boolean();  // reserved byte, see save_config()
   cfg.event_log = r.boolean();
   cfg.profiler_period = r.i64();
@@ -288,11 +304,11 @@ void Snapshotter::save_state(core::System& sys, Writer& w) {
   const auto save_tlb = [&w](const pagetable::Tlb& tlb) {
     w.u64(tlb.hits_);
     w.u64(tlb.misses_);
-    w.u64(tlb.lru_.size());
-    for (const auto& entry : tlb.lru_) {
-      w.u64(entry.vpn);
-      w.u8(static_cast<std::uint8_t>(entry.node));
-    }
+    w.u64(tlb.size());
+    tlb.for_each_mru([&w](std::uint64_t vpn, mem::Node node) {
+      w.u64(vpn);
+      w.u8(static_cast<std::uint8_t>(node));
+    });
   };
   save_tlb(m.smmu_.cpu_tlb());
   save_tlb(m.smmu_.ats_tlb());
@@ -533,7 +549,7 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
       const std::uint64_t first_vpn = r.u64();
       const std::uint64_t pages = r.u64();
       pagetable::Pte pte;
-      pte.node = static_cast<mem::Node>(r.u8());
+      pte.node = read_node(r, "a page-table run");
       pte.writable = r.boolean();
       pte.numa_generation = r.u32();
       pt.insert_run(first_vpn, pages, pte);
@@ -544,17 +560,20 @@ void Snapshotter::load_state(core::System& sys, Reader& r,
 
   // [8] TLBs. hits_/misses_ are set directly — the bound registry counters
   // are restored with the registry section, so going through the public
-  // interface would double count.
+  // interface would double count. Entries arrive most to least recent and
+  // are appended at the LRU end; a section that overfills the TLB or
+  // repeats a VPN is rejected.
   const auto load_tlb = [&r](pagetable::Tlb& tlb) {
     tlb.hits_ = r.u64();
     tlb.misses_ = r.u64();
-    tlb.lru_.clear();
-    tlb.map_.clear();
+    tlb.flush();
     for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
       const std::uint64_t vpn = r.u64();
-      const auto node = static_cast<mem::Node>(r.u8());
-      tlb.lru_.push_back({vpn, node});
-      tlb.map_[vpn] = std::prev(tlb.lru_.end());
+      const mem::Node node = read_node(r, "a TLB entry");
+      if (!tlb.append_lru(vpn, node)) {
+        throw StatusError{Status::kErrorInvalidValue,
+                          "checkpoint: TLB section overfills the TLB or repeats a VPN"};
+      }
     }
   };
   load_tlb(m.smmu_.cpu_tlb());

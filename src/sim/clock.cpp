@@ -4,11 +4,11 @@
 
 namespace ghum::sim {
 
-void Clock::advance(Picos delta) {
-  if (delta < 0) throw std::invalid_argument{"Clock::advance: negative delta"};
-  if (delta == 0) return;
-  const Picos before = now_;
-  now_ += delta;
+void Clock::throw_negative_delta() {
+  throw std::invalid_argument{"Clock::advance: negative delta"};
+}
+
+void Clock::notify(Picos before) const {
   for (const auto& obs : observers_) {
     if (obs) obs(before, now_);
   }

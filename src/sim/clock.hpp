@@ -25,8 +25,18 @@ class Clock {
 
   [[nodiscard]] Picos now() const noexcept { return now_; }
 
-  /// Advances simulated time by \p delta (must be >= 0).
-  void advance(Picos delta);
+  /// Advances simulated time by \p delta (must be >= 0; a negative delta
+  /// throws std::invalid_argument). Inline: the common case is a clock
+  /// with no observers, where an advance is one add.
+  void advance(Picos delta) {
+    if (delta <= 0) {
+      if (delta < 0) throw_negative_delta();
+      return;
+    }
+    const Picos before = now_;
+    now_ += delta;
+    if (!observers_.empty()) notify(before);
+  }
 
   /// Registers an observer; returns an id usable with remove_observer().
   std::size_t add_observer(Observer fn);
@@ -36,6 +46,10 @@ class Clock {
   void reset() noexcept { now_ = 0; }
 
  private:
+  [[noreturn]] static void throw_negative_delta();
+  /// Calls every live observer with (before, now_).
+  void notify(Picos before) const;
+
   Picos now_ = 0;
   std::vector<Observer> observers_;  // empty slots are disabled observers
 

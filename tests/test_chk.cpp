@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ios>
 #include <memory>
@@ -31,6 +32,18 @@ core::SystemConfig chk_cfg() {
   cfg.access_counter_migration = true;
   cfg.counter_min_interval = sim::microseconds(5);
   return cfg;
+}
+
+/// Re-stamps a blob's payload digest (offset 12) and size (offset 20) so
+/// that an edited payload passes the header checks and only the machine
+/// state's own validation can reject it.
+void restamp(chk::Blob& blob) {
+  const auto stamp_u64 = [&blob](std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  constexpr std::size_t kHeader = 28;
+  stamp_u64(12, chk::fnv1a(blob.data() + kHeader, blob.size() - kHeader));
+  stamp_u64(20, blob.size() - kHeader);
 }
 
 apps::HotspotConfig small_hotspot() {
@@ -241,17 +254,83 @@ TEST(ChkValidation, RejectsCorruptTruncatedAndAlienBlobs) {
   // machine state used up the whole payload can reject it.
   chk::Blob trailing = blob;
   trailing.push_back(0);
-  const auto stamp_u64 = [&trailing](std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      trailing[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  };
-  constexpr std::size_t kHeader = 28;
-  stamp_u64(12,
-            chk::fnv1a(trailing.data() + kHeader, trailing.size() - kHeader));
-  stamp_u64(20, trailing.size() - kHeader);
+  restamp(trailing);
   ASSERT_TRUE(chk::Snapshotter::verify(trailing));
   EXPECT_THROW((void)chk::Snapshotter::restore(trailing), StatusError);
+}
+
+TEST(ChkValidation, RejectsMalformedTlbAndPageTableSections) {
+  // A 2-entry CPU TLB holding two distinctive VPNs, an ATS TLB of
+  // distinctive capacity, and a page-table run with a distinctive start
+  // and length, so the test can find their bytes.
+  core::SystemConfig cfg = chk_cfg();
+  cfg.cpu_tlb_entries = 2;
+  constexpr std::uint64_t kAtsEntries = 0x3eed1;
+  cfg.ats_tlb_entries = kAtsEntries;
+  core::System sys{cfg};
+  constexpr std::uint64_t kVpnA = 0x5eed00000000a11aull;
+  constexpr std::uint64_t kVpnB = 0x5eed00000000b22bull;
+  pagetable::Tlb& tlb = sys.machine().smmu().cpu_tlb();
+  tlb.insert(kVpnB, mem::Node::kCpu);
+  tlb.insert(kVpnA, mem::Node::kGpu);  // MRU, written first
+  constexpr std::uint64_t kRunVpn = 0x5eed0c33ull;
+  constexpr std::uint64_t kRunPages = 0x5eed0d44ull;
+  pagetable::PageTable& pt = sys.machine().system_pt();
+  pt.map_range(kRunVpn * pt.page_size(), kRunPages,
+               pagetable::Pte{.node = mem::Node::kGpu});
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  ASSERT_NO_THROW((void)chk::Snapshotter::restore(blob));
+
+  // Offset of the only occurrence of a little-endian u64 in the blob.
+  const auto offset_of = [&blob](std::uint64_t v) {
+    std::size_t found = 0, count = 0;
+    for (std::size_t at = 0; at + 8 <= blob.size(); ++at) {
+      std::uint64_t w = 0;
+      for (int i = 0; i < 8; ++i) w |= std::uint64_t{blob[at + i]} << (8 * i);
+      if (w == v) {
+        found = at;
+        ++count;
+      }
+    }
+    EXPECT_EQ(count, 1u) << std::hex << v;
+    return found;
+  };
+  const std::size_t a = offset_of(kVpnA);  // TLB entry: u64 vpn, u8 node
+  const std::size_t b = offset_of(kVpnB);
+  const std::size_t run = offset_of(kRunVpn);  // run: u64 vpn, u64 pages, u8 node
+  ASSERT_EQ(b, a + 9);
+  ASSERT_EQ(offset_of(kRunPages), run + 8);
+  const std::size_t ats = offset_of(kAtsEntries);  // config: u64 capacity
+
+  const auto expect_rejected = [](chk::Blob bad, const char* what) {
+    restamp(bad);
+    ASSERT_TRUE(chk::Snapshotter::verify(bad)) << what;
+    try {
+      (void)chk::Snapshotter::restore(bad);
+      ADD_FAILURE() << what << " restored";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status(), Status::kErrorInvalidValue) << what;
+    }
+  };
+  chk::Blob bad = blob;
+  bad[a + 8] = 2;
+  expect_rejected(bad, "TLB node byte 2");
+  bad = blob;
+  bad[b + 8] = 0xff;
+  expect_rejected(bad, "TLB node byte 0xff");
+  bad = blob;
+  std::copy(blob.begin() + a, blob.begin() + a + 8, bad.begin() + b);
+  expect_rejected(bad, "repeated TLB VPN");
+  bad = blob;
+  ASSERT_EQ(bad[a - 8], 2);  // the entry count precedes the first entry
+  bad[a - 8] = 3;
+  expect_rejected(bad, "TLB section over capacity");
+  bad = blob;
+  bad[run + 16] = 2;
+  expect_rejected(bad, "page-table run node byte 2");
+  bad = blob;
+  bad[ats + 4] = 1;  // 2^32 + kAtsEntries
+  expect_rejected(bad, "TLB capacity beyond Tlb::kMaxCapacity");
 }
 
 TEST(ChkValidation, SnapshotInsideOpenKernelThrows) {

@@ -1,9 +1,43 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <list>
+#include <new>
+#include <optional>
+#include <random>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "chk/snapshot.hpp"
+#include "core/system.hpp"
 #include "pagetable/gmmu.hpp"
 #include "pagetable/page_table.hpp"
 #include "pagetable/smmu.hpp"
 #include "pagetable/tlb.hpp"
+
+// Counts this binary's operator new calls, so a test can check that a
+// code path does not allocate.
+namespace {
+std::size_t g_news = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+// Array forms too: a sanitizer runtime's own operator new[] would bypass
+// the count. Out of line, so the compiler does not pair new with free().
+void* operator new[](std::size_t n) { return operator new(n); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ghum::pagetable {
 namespace {
@@ -255,6 +289,258 @@ TEST(Tlb, InsertUpdatesExistingNode) {
   tlb.insert(5, mem::Node::kGpu);
   EXPECT_EQ(tlb.size(), 1u);
   EXPECT_EQ(tlb.lookup(5), mem::Node::kGpu);
+}
+
+TEST(Tlb, AppendLruRestoresOrderAndRejectsDuplicatesAndOverflow) {
+  Tlb tlb{3};
+  EXPECT_TRUE(tlb.append_lru(1, mem::Node::kCpu));
+  EXPECT_TRUE(tlb.append_lru(2, mem::Node::kGpu));
+  EXPECT_FALSE(tlb.append_lru(1, mem::Node::kGpu));  // already cached
+  EXPECT_TRUE(tlb.append_lru(3, mem::Node::kCpu));
+  EXPECT_FALSE(tlb.append_lru(4, mem::Node::kCpu));  // full
+  std::vector<std::uint64_t> order;
+  tlb.for_each_mru([&order](std::uint64_t vpn, mem::Node) { order.push_back(vpn); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(tlb.hits() + tlb.misses(), 0u);
+  tlb.insert(5, mem::Node::kCpu);  // evicts 3, the LRU end
+  EXPECT_FALSE(tlb.lookup(3).has_value());
+  EXPECT_EQ(tlb.lookup(1), mem::Node::kCpu);
+  EXPECT_FALSE(Tlb{0}.append_lru(1, mem::Node::kCpu));
+}
+
+TEST(Tlb, AllocatesOnlyWhileGrowingTowardCapacity) {
+  Tlb tlb{1536};
+  const std::size_t at_start = g_news;
+  for (std::uint64_t vpn = 0; vpn < 1536; ++vpn) tlb.insert(vpn, mem::Node::kCpu);
+  const std::size_t grows = g_news - at_start;
+  EXPECT_GT(grows, 0u);
+  EXPECT_LE(grows, 8u);  // doubling from 16 slots: 16, 32, ..., 1024, 1536
+
+  // Full: a streaming sweep (evict on every insert), hits, refreshes,
+  // invalidations of both kinds, reuse of invalidated slots and a flush
+  // followed by a refill all run in the storage already allocated.
+  const std::size_t full = g_news;
+  for (std::uint64_t vpn = 1536; vpn < 50000; ++vpn) {
+    (void)tlb.lookup(vpn);
+    tlb.insert(vpn, mem::Node::kGpu);
+    (void)tlb.lookup(vpn - 700);
+    if (vpn % 97 == 0) tlb.insert(vpn - 3, mem::Node::kCpu);
+    if (vpn % 89 == 0) tlb.invalidate(vpn - 5);
+    if (vpn % 1009 == 0) tlb.invalidate_range(vpn - 40, vpn - 20);
+  }
+  tlb.invalidate_range(0, 49000);
+  for (std::uint64_t vpn = 60000; vpn < 61000; ++vpn) tlb.insert(vpn, mem::Node::kCpu);
+  tlb.flush();
+  for (std::uint64_t vpn = 0; vpn < 3000; ++vpn) tlb.insert(vpn, mem::Node::kCpu);
+  const std::size_t after = g_news;
+  EXPECT_EQ(after, full);
+  EXPECT_EQ(tlb.size(), 1536u);
+}
+
+TEST(Tlb, RejectsCapacityBeyondMaxCapacity) {
+  EXPECT_THROW(Tlb{Tlb::kMaxCapacity + 1}, std::length_error);
+  EXPECT_NO_THROW(Tlb{Tlb::kMaxCapacity});  // storage grows lazily
+}
+
+/// Reference LRU for the differential test: the std::list + hash map
+/// layout, front = most recent.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<mem::Node> lookup(std::uint64_t vpn) {
+    auto it = map_.find(vpn);
+    if (it == map_.end()) {
+      ++misses_;
+      return std::nullopt;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
+  }
+  void insert(std::uint64_t vpn, mem::Node node) {
+    if (capacity_ == 0) return;
+    auto it = map_.find(vpn);
+    if (it != map_.end()) {
+      it->second->second = node;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (map_.size() >= capacity_) {
+      map_.erase(lru_.back().first);
+      lru_.pop_back();
+    }
+    lru_.emplace_front(vpn, node);
+    map_[vpn] = lru_.begin();
+  }
+  void invalidate(std::uint64_t vpn) {
+    auto it = map_.find(vpn);
+    if (it == map_.end()) return;
+    lru_.erase(it->second);
+    map_.erase(it);
+  }
+  void invalidate_range(std::uint64_t first, std::uint64_t last) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->first >= first && it->first < last) {
+        map_.erase(it->first);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  void flush() {
+    lru_.clear();
+    map_.clear();
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t vpn) const { return map_.contains(vpn); }
+  [[nodiscard]] const std::list<std::pair<std::uint64_t, mem::Node>>& lru() const {
+    return lru_;
+  }
+  [[nodiscard]] std::uint64_t hits() const { return hits_; }
+  [[nodiscard]] std::uint64_t misses() const { return misses_; }
+
+ private:
+  using Entry = std::pair<std::uint64_t, mem::Node>;
+  std::size_t capacity_;
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+/// Number of positions where the TLB's MRU order departs from the
+/// reference's (a length difference counts as one).
+std::size_t order_mismatches(const Tlb& tlb, const ReferenceLru& ref) {
+  std::size_t bad = 0;
+  auto it = ref.lru().begin();
+  tlb.for_each_mru([&](std::uint64_t vpn, mem::Node node) {
+    if (it == ref.lru().end()) {
+      ++bad;
+      return;
+    }
+    if (it->first != vpn || it->second != node) ++bad;
+    ++it;
+  });
+  if (it != ref.lru().end()) ++bad;
+  return bad;
+}
+
+TEST(Tlb, RandomizedOperationsMatchReferenceLru) {
+  for (const std::size_t cap : {0, 1, 2, 3, 17, 1536, 4096}) {
+    SCOPED_TRACE(::testing::Message() << "capacity " << cap);
+    Tlb tlb{cap};
+    ReferenceLru ref{cap};
+    std::mt19937_64 rng{0x7b1bu + cap};
+    const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    // Phases cycle the VPN span from well inside the capacity (hits and
+    // refreshes) to several times it (evictions), plus a streaming sweep
+    // of fresh pages (evict on every insert). Phases are long enough, and
+    // flushes rare enough, for the largest TLB to fill and evict.
+    const std::uint64_t spans[] = {cap / 2 + 2, cap + cap / 4 + 2, 4 * cap + 8};
+    const std::size_t phase_len = std::max<std::size_t>(500, cap);
+    const std::size_t ops = 12 * phase_len;
+    std::uint64_t stream = 1ull << 40;
+    std::size_t hits = 0, refreshes = 0, evictions = 0;
+    for (std::size_t i = 0; i < ops; ++i) {
+      const std::size_t phase = (i / phase_len) % 4;
+      const std::uint64_t span = phase < 3 ? spans[phase] : 0;
+      const auto next_vpn = [&] { return phase < 3 ? below(span) : stream++; };
+      const std::uint64_t op = below(1000);
+      if (op < 400) {
+        const std::uint64_t vpn = next_vpn();
+        const auto got = tlb.lookup(vpn);
+        const auto want = ref.lookup(vpn);
+        ASSERT_EQ(got, want) << "lookup " << vpn << " at op " << i;
+        hits += want.has_value() ? 1 : 0;
+      } else if (op < 850) {
+        const std::uint64_t vpn = next_vpn();
+        const mem::Node node = below(2) == 0 ? mem::Node::kCpu : mem::Node::kGpu;
+        const bool cached = ref.contains(vpn);
+        refreshes += cached ? 1 : 0;
+        evictions += !cached && cap > 0 && ref.lru().size() == cap ? 1 : 0;
+        tlb.insert(vpn, node);
+        ref.insert(vpn, node);
+      } else if (op < 940) {
+        const std::uint64_t vpn = phase < 3 ? below(span) : stream - 1 - below(8);
+        tlb.invalidate(vpn);
+        ref.invalidate(vpn);
+      } else {
+        // Mostly narrow ranges; rarely a wide one that empties most of
+        // the TLB.
+        const std::uint64_t base = phase < 3 ? below(span) : stream - below(64);
+        const std::uint64_t len = op == 999 ? below(2 * cap + 16) : below(8);
+        tlb.invalidate_range(base, base + len);
+        ref.invalidate_range(base, base + len);
+      }
+      if (i % (8 * phase_len) == 8 * phase_len - 1) {
+        tlb.flush();
+        ref.flush();
+      }
+      ASSERT_EQ(tlb.hits(), ref.hits()) << "op " << i;
+      ASSERT_EQ(tlb.misses(), ref.misses()) << "op " << i;
+      ASSERT_EQ(tlb.size(), ref.lru().size()) << "op " << i;
+      ASSERT_LE(tlb.size(), tlb.capacity());
+      ASSERT_EQ(order_mismatches(tlb, ref), 0u) << "op " << i;
+    }
+    if (cap > 0) {
+      EXPECT_GT(hits, 0u);
+      EXPECT_GT(refreshes, 0u);
+      EXPECT_GT(evictions, 0u);
+    }
+  }
+}
+
+TEST(Tlb, PartlyFullTlbsSurviveSnapshotRestore) {
+  core::SystemConfig cfg;
+  cfg.hbm_capacity = 16ull << 20;
+  cfg.ddr_capacity = 64ull << 20;
+  cfg.gpu_driver_baseline = 1ull << 20;
+  cfg.cpu_tlb_entries = 40;
+  core::System sys{cfg};
+  Tlb& cpu = sys.machine().smmu().cpu_tlb();
+  // 100 inserts over 60 VPNs into 40 entries: evicts, refreshes, and a
+  // hole punched by an invalidation; the other TLBs stay partly full.
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    cpu.insert((i * 37) % 60, i % 3 == 0 ? mem::Node::kGpu : mem::Node::kCpu);
+    (void)cpu.lookup((i * 11) % 60);
+  }
+  cpu.invalidate_range(20, 26);
+  sys.machine().smmu().ats_tlb().insert(9, mem::Node::kGpu);
+  sys.machine().gmmu().utlb_sys().insert(10, mem::Node::kCpu);
+  ASSERT_GT(cpu.size(), 0u);
+  ASSERT_LT(cpu.size(), cpu.capacity());
+
+  const chk::Blob blob = chk::Snapshotter::snapshot(sys);
+  std::unique_ptr<core::System> back = chk::Snapshotter::restore(blob);
+  const auto entries = [](const Tlb& t) {
+    std::vector<std::pair<std::uint64_t, mem::Node>> v;
+    t.for_each_mru([&v](std::uint64_t vpn, mem::Node n) { v.emplace_back(vpn, n); });
+    return v;
+  };
+  const auto tlbs = [](core::System& s) {
+    auto& m = s.machine();
+    return std::vector<Tlb*>{&m.smmu().cpu_tlb(), &m.smmu().ats_tlb(),
+                             &m.gmmu().utlb_gpu(), &m.gmmu().utlb_sys()};
+  };
+  const std::vector<Tlb*> before = tlbs(sys);
+  const std::vector<Tlb*> after = tlbs(*back);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(entries(*after[i]), entries(*before[i])) << "tlb " << i;
+    EXPECT_EQ(after[i]->hits(), before[i]->hits()) << "tlb " << i;
+    EXPECT_EQ(after[i]->misses(), before[i]->misses()) << "tlb " << i;
+    EXPECT_EQ(after[i]->capacity(), before[i]->capacity()) << "tlb " << i;
+  }
+  // The restored recency order drives the same evictions from here on.
+  Tlb& cpu_back = *after[0];
+  for (std::uint64_t vpn = 100; vpn < 140; vpn += 3) {
+    cpu.insert(vpn, mem::Node::kCpu);
+    cpu_back.insert(vpn, mem::Node::kCpu);
+    ASSERT_EQ(entries(cpu_back), entries(cpu)) << "after inserting " << vpn;
+  }
+  EXPECT_EQ(chk::Snapshotter::state_digest(*back),
+            chk::Snapshotter::state_digest(sys));
 }
 
 class SmmuTest : public ::testing::Test {
